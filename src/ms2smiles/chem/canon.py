@@ -81,13 +81,6 @@ def _atom_seed(mol: Molecule, i: int) -> tuple:
     )
 
 
-def canonical_ranks(mol: Molecule) -> list[int]:
-    mol.require_perceived("canonical ranking")
-    seeds = [_atom_seed(mol, i) for i in range(mol.n_atoms)]
-    ranks, _ = refine_ranks(seeds, _labeled_adjacency(mol))
-    return ranks
-
-
 def _discrete_ranks(
     seeds: list, adjacency: list[list[tuple[int, int]]], component: list[int], start: int
 ) -> list[int]:
@@ -265,9 +258,15 @@ def canonical_smiles(mol: Molecule) -> str:
 
     Each atom of the lowest refinement class of a component is tried as the
     traversal start with fully individualized ranks, and the lexicographically
-    smallest string wins.
+    smallest string wins.  The result is cached on the molecule.
     """
     mol.require_perceived("canonical SMILES")
+    if mol._canonical is None:
+        mol._canonical = _canonical_string(mol)
+    return mol._canonical
+
+
+def _canonical_string(mol: Molecule) -> str:
     seeds = [_atom_seed(mol, i) for i in range(mol.n_atoms)]
     adjacency = _labeled_adjacency(mol)
     base_ranks, _ = refine_ranks(seeds, adjacency)

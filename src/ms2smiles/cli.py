@@ -1,8 +1,9 @@
 """Command-line pipeline: ingest -> run -> evaluate -> report, plus mces.
 
 Exit codes: 0 success, 1 data error, 2 usage or parse error, 3 provider
-error.  Config precedence is flags > config file > defaults; the config
-file is plain ``key = value`` lines with ``#`` comments.
+error (including a ``run`` in which no request succeeded).  Config
+precedence is flags > config file > defaults; the config file is plain
+``key = value`` lines with ``#`` comments.
 """
 
 from __future__ import annotations
@@ -166,10 +167,14 @@ def cmd_run(config: RunConfig) -> int:
                     outcome.transcript, encoding="utf-8"
                 )
     print(f"{ok}/{len(outcomes)} transcripts in {transcripts_dir}")
+    if ok == 0:
+        print("no request succeeded; see batch_log.tsv", file=sys.stderr)
+        return EXIT_PROVIDER
     return EXIT_OK
 
 
-def cmd_evaluate(config: RunConfig, quiet: bool = False) -> int:
+def cmd_evaluate(config: RunConfig, table: bool = False) -> int:
+    """Score the run's transcripts; ``table`` prints the aggregate table."""
     result = load_dataset(config.dataset_path, split=config.split)
     if not result.records:
         print(f"no records in split {config.split!r}", file=sys.stderr)
@@ -197,37 +202,14 @@ def cmd_evaluate(config: RunConfig, quiet: bool = False) -> int:
         workers=workers,
     )
     report = aggregate(metrics, audits, k=config.k)
-    paths = write_reports(Path(config.run_dir) / "reports", metrics, audits, report)
-    if not quiet:
+    write_reports(Path(config.run_dir) / "reports", metrics, audits, report)
+    if table:
+        rows = report.table_rows()
+        width = max(len(label) for label, _ in rows)
+        for label, value in rows:
+            print(f"{label:<{width}}  {value}")
+    else:
         print(f"reports written to {Path(config.run_dir) / 'reports'}")
-    return EXIT_OK
-
-
-def cmd_report(config: RunConfig) -> int:
-    code = cmd_evaluate(config, quiet=True)
-    if code != EXIT_OK:
-        return code
-    import json
-
-    data = json.loads((Path(config.run_dir) / "reports" / "aggregate.json").read_text("utf-8"))
-    report_rows = [
-        ("Records", data["n_records"]),
-        ("Answered records", data["n_answered"]),
-        ("Think Rate (%)", f"{data['think_rate_pct']:.2f}"),
-        ("Answer Rate (%)", f"{data['answer_rate_pct']:.2f}"),
-        ("SMILES Validity (%)", f"{data['smiles_validity_pct']:.2f}"),
-        ("DBE Accuracy (%)", f"{data['dbe_accuracy_pct']:.2f}"),
-        ("Formula Consistency (%)", f"{data['formula_consistency_pct']:.2f}"),
-        ("Accuracy Top-1 (%)", f"{data['exact_top1_pct']:.2f}"),
-        (f"Accuracy Top-{data['k']} (%)", f"{data['exact_topk_pct']:.2f}"),
-        ("Tanimoto Top-1", f"{data['mts_top1_mean']:.4f}"),
-        (f"Tanimoto Top-{data['k']}", f"{data['mts_topk_mean']:.4f}"),
-        ("MCES Top-1", f"{data['mces_top1_mean']:.4f}"),
-        (f"MCES Top-{data['k']}", f"{data['mces_topk_mean']:.4f}"),
-    ]
-    width = max(len(label) for label, _ in report_rows)
-    for label, value in report_rows:
-        print(f"{label:<{width}}  {value}")
     return EXIT_OK
 
 
@@ -289,9 +271,7 @@ def main(argv: list[str] | None = None) -> int:
             return cmd_ingest(config)
         if args.command == "run":
             return cmd_run(config)
-        if args.command == "evaluate":
-            return cmd_evaluate(config)
-        return cmd_report(config)
+        return cmd_evaluate(config, table=args.command == "report")
     except DatasetError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .chem import ChemError, mol_from_smiles, molecular_formula, monoisotopic_mass, parse_formula
+from .chem import ChemError, mol_from_smiles, monoisotopic_mass, parse_formula
 from .chem.formula import ElementCounts
 
 SPLITS = ("train", "val", "test")
@@ -117,10 +117,9 @@ def weight_bin_for_mass(mass: float) -> str:
     return WEIGHT_BIN_LABELS[-1]
 
 
-def weight_bin(record: SpectrumRecord) -> str:
-    """Bin of the ground-truth molecule's monoisotopic mass."""
-    mol = mol_from_smiles(record.ground_truth)
-    return weight_bin_for_mass(monoisotopic_mass(molecular_formula(mol)))
+def weight_bin(formula: ElementCounts) -> str:
+    """Bin of the monoisotopic mass of a (ground-truth) molecule's formula."""
+    return weight_bin_for_mass(monoisotopic_mass(formula))
 
 
 def _parse_number_list(value) -> list[float]:
@@ -133,7 +132,7 @@ def _parse_number_list(value) -> list[float]:
     return [float(p) for p in parts]
 
 
-def _build_record(label: str, fields: dict, skipped: list) -> SpectrumRecord | None:
+def _build_record(label: str, fields: dict, skipped: list, valid: set[str]) -> SpectrumRecord | None:
     def skip(reason: str) -> None:
         skipped.append((label, reason))
 
@@ -163,11 +162,13 @@ def _build_record(label: str, fields: dict, skipped: list) -> SpectrumRecord | N
         return None
 
     smiles = str(fields.get("smiles", "")).strip()
-    try:
-        mol_from_smiles(smiles)
-    except ChemError:
-        skip("BadGroundTruth")
-        return None
+    if smiles not in valid:
+        try:
+            mol_from_smiles(smiles)
+        except ChemError:
+            skip("BadGroundTruth")
+            return None
+        valid.add(smiles)
 
     try:
         formula = parse_formula(str(fields.get("precursor_formula", "")))
@@ -252,6 +253,7 @@ def load_dataset(path: str, split: str | None = None) -> LoadResult:
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
+    valid: set[str] = set()  # ground truths repeat across spectra; parse each once
     for label, payload in rows:
         result.n_rows += 1
         if jsonl:
@@ -265,7 +267,7 @@ def load_dataset(path: str, split: str | None = None) -> LoadResult:
                 continue
         else:
             raw = payload
-        record = _build_record(label, _canonical_fields(raw), result.skipped)
+        record = _build_record(label, _canonical_fields(raw), result.skipped, valid)
         if record is not None:
             result.records.append(record)
 

@@ -12,6 +12,13 @@ Scoring for one spectrum:
 * MCES: minimum dissimilarity over the same set, 1.0 when none are valid.
 
 Invalid candidates are skipped inside the top-k scans, never zero-scored.
+
+Ground truths and candidates repeat across records and runs, so every SMILES
+goes through ``prepare``: a bounded per-process LRU memo that parses,
+perceives and measures each unique string once (an invalid one is memoized
+as None).  Scoring, the CoT audit and the weight bin all read the shared
+``PreparedMol``; the top-k scan takes fingerprints from a second memo of the
+same size.  Pool workers each keep their own memos.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ import json
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
+from functools import lru_cache
 from pathlib import Path
 from typing import Mapping, Sequence
 
@@ -29,7 +37,9 @@ from .chem.formula import ElementCounts, canonical_formula, parse_formula
 from .chem.mol import Molecule
 from .dataset import WEIGHT_BIN_LABELS, SpectrumRecord, weight_bin
 from .protocol import ParsedResponse, parse_response
-from .similarity import mces, morgan_fingerprint, tanimoto
+from .similarity import Fingerprint, mces, morgan_fingerprint, tanimoto
+
+_MEMO_SIZE = 2048  # entries per memo and process; ~20 KiB per prepared molecule for bench/data/large_library.tsv
 
 
 class EmptyInput(ValueError):
@@ -67,21 +77,37 @@ class CotAudit:
     word_count: int
 
 
-def _try_mol(smiles: str) -> Molecule | None:
+@dataclass(frozen=True)
+class PreparedMol:
+    """A perceived molecule and its formula and DBE, shared through ``prepare``: read-only."""
+
+    mol: Molecule
+    formula: ElementCounts
+    dbe: float
+
+
+@lru_cache(maxsize=_MEMO_SIZE)
+def prepare(smiles: str) -> PreparedMol | None:
+    """Parse, perceive and measure ``smiles`` once per process; None if invalid."""
     try:
-        return mol_from_smiles(smiles)
+        mol = mol_from_smiles(smiles)
     except ChemError:
         return None
+    formula = molecular_formula(mol)
+    return PreparedMol(mol, formula, dbe(formula))
 
 
-def _candidate_mols(candidates: Sequence[str]) -> list[Molecule | None]:
-    cache: dict[str, Molecule | None] = {}
-    out = []
-    for smiles in candidates:
-        if smiles not in cache:
-            cache[smiles] = _try_mol(smiles)
-        out.append(cache[smiles])
-    return out
+@lru_cache(maxsize=_MEMO_SIZE)
+def fingerprint(smiles: str, fp_radius: int, fp_nbits: int) -> Fingerprint:
+    """Morgan fingerprint of a valid ``smiles``, built once per process and shape."""
+    return morgan_fingerprint(prepare(smiles).mol, radius=fp_radius, nbits=fp_nbits)
+
+
+def _prepare_truth(record: SpectrumRecord) -> PreparedMol:
+    gt = prepare(record.ground_truth)
+    if gt is None:  # a ground truth must be valid: parse again to raise its ChemError
+        mol_from_smiles(record.ground_truth)
+    return gt
 
 
 def score_spectrum(
@@ -93,18 +119,17 @@ def score_spectrum(
     fp_radius: int = 2,
     fp_nbits: int = 2048,
 ) -> PerSpectrumMetrics:
-    gt = mol_from_smiles(record.ground_truth)
-    gt_canonical = canonical_smiles(gt)
-    gt_fp = morgan_fingerprint(gt, radius=fp_radius, nbits=fp_nbits)
-    gt_dbe = dbe(molecular_formula(gt))
+    gt = _prepare_truth(record)
+    gt_canonical = canonical_smiles(gt.mol)
+    gt_fp = fingerprint(record.ground_truth, fp_radius, fp_nbits)
 
     candidates = parsed.candidates
-    mols = _candidate_mols(candidates)
-    n_valid = sum(1 for m in mols if m is not None)
-    first_valid = next((m for m in mols if m is not None), None)
+    prepared = [prepare(smiles) for smiles in candidates]
+    n_valid = sum(1 for p in prepared if p is not None)
+    first_valid = next((p for p in prepared if p is not None), None)
 
-    formula_ok = first_valid is not None and molecular_formula(first_valid) == record.formula
-    dbe_ok = first_valid is not None and dbe(molecular_formula(first_valid)) == gt_dbe
+    formula_ok = first_valid is not None and first_valid.formula == record.formula
+    dbe_ok = first_valid is not None and first_valid.dbe == gt.dbe
 
     exact_top1 = False
     exact_topk = False
@@ -113,13 +138,13 @@ def score_spectrum(
     mces_top1 = 1.0
     mces_topk = 1.0
     truncated = False
-    for rank, mol in enumerate(mols[:k]):
-        if mol is None:
+    for rank, (smiles, cand) in enumerate(zip(candidates[:k], prepared[:k])):
+        if cand is None:
             continue
-        exact = canonical_smiles(mol) == gt_canonical
-        similarity = tanimoto(gt_fp, morgan_fingerprint(mol, radius=fp_radius, nbits=fp_nbits))
+        exact = canonical_smiles(cand.mol) == gt_canonical
+        similarity = tanimoto(gt_fp, fingerprint(smiles, fp_radius, fp_nbits))
         if mces_topk > 0.0:
-            result = mces(gt, mol, budget=mces_budget)
+            result = mces(gt.mol, cand.mol, budget=mces_budget)
             truncated = truncated or not result.optimal
             distance = result.dissimilarity
         else:
@@ -134,12 +159,12 @@ def score_spectrum(
 
     return PerSpectrumMetrics(
         record_id=record.id,
-        bin=weight_bin(record),
+        bin=weight_bin(gt.formula),
         has_think=parsed.has_think,
         has_answer=parsed.has_answer,
         n_candidates=len(candidates),
         n_valid=n_valid,
-        validity_top1=bool(mols) and mols[0] is not None,
+        validity_top1=bool(prepared) and prepared[0] is not None,
         formula_consistent_any=formula_ok,
         dbe_correct_top1=dbe_ok,
         exact_top1=exact_top1,
@@ -194,17 +219,17 @@ def audit_cot(parsed: ParsedResponse, record: SpectrumRecord) -> CotAudit:
     stated_dbe = _extract_stated_dbe(think)
     stated_formula = _extract_stated_formula(think)
 
-    gt = mol_from_smiles(record.ground_truth)
-    dbe_correct = None if stated_dbe is None else stated_dbe == dbe(molecular_formula(gt))
+    gt = _prepare_truth(record)
+    dbe_correct = None if stated_dbe is None else stated_dbe == gt.dbe
     formula_correct = None if stated_formula is None else stated_formula == record.formula
 
-    first_valid = next((m for m in _candidate_mols(parsed.candidates) if m is not None), None)
+    prepared = (prepare(smiles) for smiles in parsed.candidates)
+    first_valid = next((p for p in prepared if p is not None), None)
     contradiction = False
     if first_valid is not None:
-        counts = molecular_formula(first_valid)
-        if stated_dbe is not None and stated_dbe != dbe(counts):
+        if stated_dbe is not None and stated_dbe != first_valid.dbe:
             contradiction = True
-        if stated_formula is not None and stated_formula != counts:
+        if stated_formula is not None and stated_formula != first_valid.formula:
             contradiction = True
 
     return CotAudit(

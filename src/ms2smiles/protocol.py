@@ -167,10 +167,3 @@ def parse_response(raw: str) -> ParsedResponse:
     parsed.candidates = candidates[:MAX_CANDIDATES]
     parsed.has_answer = bool(parsed.candidates)
     return parsed
-
-
-def truncate_candidates(parsed: ParsedResponse, k: int) -> list[str]:
-    """First ``k`` candidates, order and duplicates preserved."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return parsed.candidates[:k]

@@ -1,14 +1,13 @@
 """Structural similarity: circular fingerprints and edge-overlap distance."""
 
 from .fingerprints import Fingerprint, IncomparableFingerprints, morgan_fingerprint, tanimoto
-from .mces import McesResult, mces, mces_dissimilarity
+from .mces import McesResult, mces
 
 __all__ = [
     "Fingerprint",
     "IncomparableFingerprints",
     "McesResult",
     "mces",
-    "mces_dissimilarity",
     "morgan_fingerprint",
     "tanimoto",
 ]

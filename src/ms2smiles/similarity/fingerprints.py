@@ -30,9 +30,6 @@ class Fingerprint:
     def popcount(self) -> int:
         return self.bits.bit_count()
 
-    def on_bits(self) -> list[int]:
-        return [i for i in range(self.nbits) if self.bits >> i & 1]
-
 
 def morgan_fingerprint(mol: Molecule, radius: int = 2, nbits: int = 2048) -> Fingerprint:
     mol.require_perceived("fingerprinting")

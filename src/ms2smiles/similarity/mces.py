@@ -81,11 +81,6 @@ def mces(a: Molecule, b: Molecule, budget: float = 1.0) -> McesResult:
     return McesResult(best, _dissim(best, max_e), optimal)
 
 
-def mces_dissimilarity(a: Molecule, b: Molecule, budget: float = 1.0) -> float:
-    """Convenience wrapper: 1 - |MCES| / max(|E(a)|, |E(b)|)."""
-    return mces(a, b, budget).dissimilarity
-
-
 def _dissim(common: int, max_e: int) -> float:
     return min(1.0, max(0.0, 1.0 - common / max_e))
 

@@ -73,6 +73,26 @@ def test_rerun_uses_cache(tmp_path):
         assert line.endswith("\t1")  # cached on the second pass
 
 
+def test_run_fails_when_no_request_succeeds(tmp_path, capsys):
+    empty = tmp_path / "no-transcripts"
+    empty.mkdir()
+    args = ["--dataset", FIXTURE, "--run-dir", str(tmp_path / "run"), "--split", "test"]
+    assert main(["run", *args, "--provider", f"mock:{empty}"]) == 3
+    assert "0/3 transcripts" in capsys.readouterr().out
+
+
+def test_run_with_some_failures_still_succeeds(tmp_path):
+    partial = tmp_path / "partial"
+    partial.mkdir()
+    (partial / "amine-001.txt").write_text(
+        (Path(TRANSCRIPTS) / "amine-001.txt").read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    run_dir = tmp_path / "run"
+    args = ["--dataset", FIXTURE, "--run-dir", str(run_dir), "--split", "test"]
+    assert main(["run", *args, "--provider", f"mock:{partial}"]) == 0
+    assert sorted(p.name for p in (run_dir / "transcripts").glob("*.txt")) == ["amine-001.txt"]
+
+
 def test_evaluate_requires_transcripts(tmp_path):
     code = main(["evaluate", "--dataset", FIXTURE, "--run-dir", str(tmp_path / "never-ran"),
                  "--split", "test"])
@@ -108,6 +128,7 @@ def test_report_prints_table(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "Think Rate (%)" in out
     assert "Tanimoto Top-10" in out
+    assert "MCES truncated (%)" in out
 
 
 def test_k_only_affects_topk_columns(tmp_path):

@@ -16,6 +16,7 @@ from ms2smiles.dataset import (
     weight_bin,
     weight_bin_for_mass,
 )
+from ms2smiles.evaluate import prepare
 
 HEADER = "id\tmzs\tintensities\tsmiles\tprecursor_formula\tadduct\tinstrument_type\tcollision_energy\tfold"
 
@@ -158,4 +159,4 @@ def test_bins_partition_the_mass_axis(mass):
 
 def test_weight_bin_uses_ground_truth_molecule(data_dir):
     records = load_dataset(str(data_dir / "fixture.tsv")).records
-    assert weight_bin(records[0]) == "[0,200)"  # C4H11N, 73.09 Da
+    assert weight_bin(prepare(records[0].ground_truth).formula) == "[0,200)"  # C4H11N, 73.09 Da

@@ -5,15 +5,19 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ms2smiles.chem import ChemError, canonical_smiles, mol_from_smiles
 from ms2smiles.dataset import SpectrumRecord
 from ms2smiles.evaluate import (
     EmptyInput,
     aggregate,
     audit_cot,
     evaluate_one,
+    fingerprint,
+    prepare,
     score_spectrum,
 )
 from ms2smiles.protocol import ParsedResponse, parse_response
+from ms2smiles.similarity import mces, morgan_fingerprint
 
 
 def make_record(smiles="CC(C)(C)N", formula=None, rid="r1"):
@@ -236,3 +240,80 @@ def test_bin_totals_sum_to_overall():
     ]
     report = aggregate(metrics, k=10)
     assert sum(row["count"] for row in report.bins) == report.n_records
+
+
+MEMO_TRANSCRIPT = (
+    "<think>* Formula: C9H11NO3\n* Double Bond Equivalents (DBE) = 5</think>\n"
+    "<answer>C1CC, NCC(C1=CC=C(O)C=C1)C(=O)O, O=C(O)C(N)Cc1ccc(O)cc1, CCO</answer>"
+)
+
+
+def test_cold_and_warm_memo_score_alike():
+    record = make_record("NC(Cc1ccc(O)cc1)C(=O)O")
+    prepare.cache_clear()
+    fingerprint.cache_clear()
+    cold = evaluate_one(record, MEMO_TRANSCRIPT)
+    assert prepare.cache_info().misses > 0 and fingerprint.cache_info().misses > 0
+    hits = prepare.cache_info().hits
+    warm = evaluate_one(record, MEMO_TRANSCRIPT)
+    assert prepare.cache_info().hits > hits
+    assert warm == cold
+    assert cold[0].exact_topk and cold[0].n_valid == 3
+    assert cold[1].formula_claim_correct and cold[1].dbe_claim_correct
+
+
+def test_memoized_failures_stay_failures():
+    prepare.cache_clear()
+    for rid in ("a", "b"):
+        metrics = score_spectrum(make_record("CCO", rid=rid), response(["C1CC", "C1CC"]))
+        assert metrics.n_valid == 0 and not metrics.validity_top1
+    assert prepare("C1CC") is None
+    bad_truth = make_record("C1CC", formula={"C": 3, "H": 6}, rid="bad")
+    for _ in range(2):
+        with pytest.raises(ChemError):
+            score_spectrum(bad_truth, response(["CCO"]))
+        with pytest.raises(ChemError):
+            audit_cot(response(["CCO"]), bad_truth)
+
+
+def _fields(prepared):
+    mol = prepared.mol
+    return (
+        list(mol.atoms), list(mol.bonds), list(mol.hydrogens), mol.ring_bonds,
+        mol.aromatic_atoms, mol.aromatic_bonds, mol.perceived,
+        dict(prepared.formula), prepared.dbe,
+    )
+
+
+@pytest.mark.parametrize("smiles", ["NC(Cc1ccc(O)cc1)C(=O)O", "OC1=CC=CC=C1CCN", "[Na+].[Cl-]"])
+def test_memoized_molecule_matches_fresh_parse(smiles):
+    prepare.cache_clear()
+    fingerprint.cache_clear()
+    shared = prepare(smiles)
+    before = _fields(shared)
+    other = prepare("c1ccccc1CCN").mol
+    fresh = mol_from_smiles(smiles)
+    for _ in range(2):  # the second round reads the cached canonical SMILES
+        assert canonical_smiles(shared.mol) == canonical_smiles(mol_from_smiles(smiles))
+        assert morgan_fingerprint(shared.mol) == morgan_fingerprint(fresh) == fingerprint(smiles, 2, 2048)
+        assert mces(shared.mol, other) == mces(fresh, mol_from_smiles("c1ccccc1CCN"))
+        assert mces(shared.mol, shared.mol) == mces(fresh, mol_from_smiles(smiles))
+    assert prepare(smiles) is shared
+    assert _fields(shared) == before
+
+
+def test_identical_edge_free_inputs_keep_mces_one():
+    prepare.cache_clear()
+    metrics = score_spectrum(make_record("[Na+].[Cl-]"), response(["[Na+].[Cl-]"]))
+    assert metrics.exact_top1
+    assert metrics.mces_top1 == 1.0
+
+
+@pytest.mark.parametrize("candidate", ["[Gd+3]", "[Tc]", "[U]"])
+def test_candidate_without_tabulated_mass_still_scores(candidate):
+    # Only the ground truth is weighed; a candidate element with no mass entry is still valid.
+    metrics, audit = evaluate_one(make_record("CCO"), f"<answer>{candidate}, CCO</answer>")
+    assert metrics.n_valid == 2 and metrics.validity_top1
+    assert not metrics.exact_top1 and metrics.exact_topk
+    assert metrics.bin == "[0,200)"
+    assert not audit.contradiction

@@ -10,7 +10,6 @@ from ms2smiles.protocol import (
     default_template,
     parse_response,
     render_prompt,
-    truncate_candidates,
 )
 
 APPENDIX_CANDIDATES = [
@@ -147,12 +146,3 @@ def test_parse_response_is_total(raw):
     assert (parsed.cot_word_count == 0) == (not parsed.has_think or not parsed.think_text.strip())
     assert len(parsed.candidates) <= 32
 
-
-def test_truncate_candidates(data_dir):
-    parsed = parse_response((data_dir / "transcripts" / "amine-001.txt").read_text("utf-8"))
-    assert truncate_candidates(parsed, 1) == ["CC(C)(C)N"]
-    assert truncate_candidates(parsed, 10) == APPENDIX_CANDIDATES
-    assert truncate_candidates(parsed, 99) == APPENDIX_CANDIDATES
-    assert truncate_candidates(parse_response(""), 5) == []
-    with pytest.raises(ValueError):
-        truncate_candidates(parsed, 0)
