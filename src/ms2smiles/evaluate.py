@@ -13,6 +13,13 @@ Scoring for one spectrum:
 
 Invalid candidates are skipped inside the top-k scans, never zero-scored.
 
+The rank-0 candidate is always searched, so MCES top-1 is its own value.
+Past rank 0, a candidate is searched only when its ``mces_floor`` lies
+below the running top-k minimum: any result of its search, truncated or
+not, is at least that floor and so could not lower the minimum.  Top-1 and
+top-k values are therefore those of searching every candidate, and
+``mces_truncated`` flags a truncated search among those that ran.
+
 Ground truths and candidates repeat across records and runs, so every SMILES
 goes through ``prepare``: a bounded per-process LRU memo that parses,
 perceives and measures each unique string once (an invalid one is memoized
@@ -37,7 +44,7 @@ from .chem.formula import ElementCounts, canonical_formula, parse_formula
 from .chem.mol import Molecule
 from .dataset import WEIGHT_BIN_LABELS, SpectrumRecord, weight_bin
 from .protocol import ParsedResponse, parse_response
-from .similarity import Fingerprint, mces, morgan_fingerprint, tanimoto
+from .similarity import Fingerprint, mces, mces_floor, morgan_fingerprint, tanimoto
 
 _MEMO_SIZE = 2048  # entries per memo and process; ~20 KiB per prepared molecule for bench/data/large_library.tsv
 
@@ -143,19 +150,19 @@ def score_spectrum(
             continue
         exact = canonical_smiles(cand.mol) == gt_canonical
         similarity = tanimoto(gt_fp, fingerprint(smiles, fp_radius, fp_nbits))
-        if mces_topk > 0.0:
-            result = mces(gt.mol, cand.mol, budget=mces_budget)
-            truncated = truncated or not result.optimal
-            distance = result.dissimilarity
-        else:
-            distance = 1.0  # min already at the floor; skip the search
         if rank == 0:
             exact_top1 = exact
             mts_top1 = similarity
-            mces_top1 = distance
         exact_topk = exact_topk or exact
         mts_topk = max(mts_topk, similarity)
-        mces_topk = min(mces_topk, distance)
+        # Past rank 0, a candidate whose floor cannot go below the current
+        # minimum would not move it, whatever its search returned.
+        if rank == 0 or mces_floor(gt.mol, cand.mol) < mces_topk:
+            result = mces(gt.mol, cand.mol, budget=mces_budget)
+            truncated = truncated or not result.optimal
+            mces_topk = min(mces_topk, result.dissimilarity)
+            if rank == 0:
+                mces_top1 = result.dissimilarity
 
     return PerSpectrumMetrics(
         record_id=record.id,

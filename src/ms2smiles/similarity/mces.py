@@ -9,15 +9,27 @@ edge pair, adjacency between pairs whose union is still a consistent
 injective mapping (which also rules out the triangle/star line-graph
 ambiguity).  The common subgraph may be disconnected.
 
-A wall-clock budget bounds each call.  On expiry the best clique found so
-far is returned with ``optimal=False``: a lower bound on the common edge
-count, hence an upper bound on the dissimilarity.
+Before the search, the product's vertices are renumbered by descending
+degree, which tightens the coloring bound; each adjacency row is permuted
+in C as a binary string.  A greedy clique, the same in either numbering,
+gives the search its first lower bound, and when it already reaches the
+label-multiset bound no relabeling or search runs.
+
+A wall-clock budget bounds each call.  Building the product, relabeling it
+and searching all check the deadline.  On expiry the best clique found so
+far (the greedy one if the search never started) is returned with
+``optimal=False``: a lower bound on the common edge count, hence an upper
+bound on the dissimilarity.
+
+``mces_floor`` gives the dissimilarity that the label-multiset bound
+allows, a lower bound on any ``mces`` result, without building the product.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ..chem.canon import canonical_smiles
 from ..chem.mol import Molecule
@@ -68,17 +80,37 @@ def mces(a: Molecule, b: Molecule, budget: float = 1.0) -> McesResult:
         # always a consistent common subgraph, so 1 is a safe lower bound.
         return McesResult(1, _dissim(1, max_e), False)
 
-    adj = _relabel_by_degree(adj)
+    # The greedy clique visits vertices in the relabeled order, so it is the
+    # same before and after relabeling; taking it first skips the relabel
+    # whenever it already reaches the label bound.
     best = _greedy_clique(adj)
-    cap = min(label_bound, n_ea, n_eb)
+    if best >= label_bound:
+        return McesResult(best, _dissim(best, max_e), True)
+    adj = _relabel_by_degree(adj, deadline)
+    if adj is None:
+        return McesResult(best, _dissim(best, max_e), False)
     optimal = True
-    if best < cap:
-        try:
-            best = _max_clique(adj, best, cap, deadline)
-        except _Deadline as exc:
-            best = exc.args[0]
-            optimal = False
+    try:
+        best = _max_clique(adj, best, label_bound, deadline)
+    except _Deadline as exc:
+        best = exc.args[0]
+        optimal = False
     return McesResult(best, _dissim(best, max_e), optimal)
+
+
+def mces_floor(a: Molecule, b: Molecule) -> float:
+    """A lower bound on ``mces(a, b).dissimilarity`` that runs no search.
+
+    No common subgraph, optimal or truncated, has more edges than the
+    label-multiset bound, which reads the same edge labels as the search.
+    0.0 when either molecule has no bonds.
+    """
+    a.require_perceived("MCES")
+    b.require_perceived("MCES")
+    if min(a.n_bonds, b.n_bonds) == 0:
+        return 0.0
+    bound = _label_multiset_bound(_labeled_edges(a), _labeled_edges(b))
+    return _dissim(bound, max(a.n_bonds, b.n_bonds))
 
 
 def _dissim(common: int, max_e: int) -> float:
@@ -163,22 +195,26 @@ def _product_adjacency(
     return adj
 
 
-def _relabel_by_degree(adj: list[int]) -> list[int]:
-    """Renumber vertices by descending degree; improves the coloring bound."""
+def _relabel_by_degree(adj: list[int], deadline: float) -> list[int] | None:
+    """Renumber vertices by descending degree, or None on timeout.
+
+    The new vertex ``j`` is the old vertex ``order[j]``.  Each row is spelled
+    as a fixed-width binary string and its characters are picked in the new
+    order by one ``itemgetter``, so the permutation of a row runs in C.
+    """
     n = len(adj)
+    if n == 0:
+        return []
     order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
-    new_index = [0] * n
+    # Character i of a row's string is bit n-1-i, so new bit j sits at
+    # character n-1-j and is read from the old string at n-1-order[j].
+    pick = itemgetter(*[n - 1 - order[n - 1 - i] for i in range(n)])
+    width = f"0{n}b"
+    relabeled: list[int] = []
     for new, old in enumerate(order):
-        new_index[old] = new
-    relabeled = [0] * n
-    for old in range(n):
-        mask = adj[old]
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << new_index[low.bit_length() - 1]
-            mask ^= low
-        relabeled[new_index[old]] = out
+        if new % 256 == 0 and time.monotonic() > deadline:
+            return None
+        relabeled.append(int("".join(pick(format(adj[old], width))), 2))
     return relabeled
 
 

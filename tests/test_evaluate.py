@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ms2smiles.chem import ChemError, canonical_smiles, mol_from_smiles
 from ms2smiles.dataset import SpectrumRecord
+import ms2smiles.evaluate as evaluate_module
 from ms2smiles.evaluate import (
     EmptyInput,
     aggregate,
@@ -114,6 +115,52 @@ def test_monotone_in_k():
         assert m.mces_topk <= previous_mces
         assert m.exact_topk >= previous_exact
         previous_mts, previous_mces, previous_exact = m.mts_topk, m.mces_topk, m.exact_topk
+
+
+def _mces_searching_every_candidate(truth, candidates, k, budget):
+    """(top-1, top-k, truncated, searches) with a search for every valid candidate in the top k."""
+    gt = mol_from_smiles(truth)
+    top1, topk, truncated, searches = 1.0, 1.0, False, 0
+    for rank, smiles in enumerate(candidates[:k]):
+        try:
+            cand = mol_from_smiles(smiles)
+        except ChemError:
+            continue
+        result = mces(gt, cand, budget=budget)
+        searches += 1
+        truncated = truncated or not result.optimal
+        topk = min(topk, result.dissimilarity)
+        if rank == 0:
+            top1 = result.dissimilarity
+    return top1, topk, truncated, searches
+
+
+def test_screening_matches_searching_every_candidate(corpus, monkeypatch):
+    searched = []
+    search = evaluate_module.mces
+
+    def counted(*args, **kwargs):
+        searched.append(args)
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(evaluate_module, "mces", counted)
+    rng = random.Random(23)
+    pool = rng.sample(corpus, 30)
+    invalid = ["C1CC", "C(C", "c1cc"]
+    reference_searches = 0
+    for i in range(60):
+        truth = rng.choice(pool)
+        candidates = [rng.choice(pool) for _ in range(rng.randint(0, 8))]
+        candidates += [rng.choice(invalid) for _ in range(rng.randint(0, 2))]
+        candidates += rng.sample(candidates, min(len(candidates), rng.randint(0, 3)))
+        rng.shuffle(candidates)
+        k = rng.choice((1, 3, 10))
+        got = score_spectrum(make_record(truth, rid=f"s{i}"), response(candidates), k, mces_budget=10.0)
+        top1, topk, truncated, searches = _mces_searching_every_candidate(truth, candidates, k, 10.0)
+        reference_searches += searches
+        assert (got.mces_top1, got.mces_topk) == (top1, topk)
+        assert truncated or not got.mces_truncated
+    assert 0 < len(searched) < reference_searches
 
 
 def test_duplicates_do_not_distort():

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import importlib
+import math
 import random
+from types import SimpleNamespace
 
 import pytest
 
 from ms2smiles.chem import mol_from_smiles
 from ms2smiles.chem.mol import Molecule
-from ms2smiles.similarity import mces
+from ms2smiles.similarity import mces, mces_floor
 
-from oracles import brute_force_mces
+from oracles import brute_force_mces, relabel_by_degree_bitwise
+
+mces_module = importlib.import_module("ms2smiles.similarity.mces")
 
 
 def test_identity():
@@ -30,6 +35,8 @@ def test_degenerate_edge_free_pairs():
     assert mces(mol_from_smiles("C"), mol_from_smiles("O")).dissimilarity == 1.0
     assert mces(mol_from_smiles("C"), mol_from_smiles("CC")).dissimilarity == 1.0
     assert mces(mol_from_smiles("[Na+].[Cl-]"), mol_from_smiles("[Na+].[Cl-]")).dissimilarity == 1.0
+    for a, b in (("C", "C"), ("C", "CC"), ("CC", "[Na+].[Cl-]")):
+        assert mces_floor(mol_from_smiles(a), mol_from_smiles(b)) == 0.0
 
 
 def test_bond_orders_must_match():
@@ -87,6 +94,7 @@ def test_budget_truncation_yields_lower_bound():
     b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
     quick = mces(a, b, budget=0.02)
     slow = mces(a, b, budget=0.2)
+    assert mces_floor(a, b) <= quick.dissimilarity
     assert quick.common_edges <= slow.common_edges
     assert quick.common_edges <= min(a.n_bonds, b.n_bonds)
     assert quick.dissimilarity >= slow.dissimilarity - 1e-12
@@ -100,5 +108,76 @@ def test_result_bounds(corpus):
         a = mol_from_smiles(rng.choice(corpus))
         b = mol_from_smiles(rng.choice(corpus))
         r = mces(a, b, budget=0.3)
-        assert 0.0 <= r.dissimilarity <= 1.0
+        assert 0.0 <= mces_floor(a, b) <= r.dissimilarity <= 1.0
         assert r.common_edges <= min(a.n_bonds, b.n_bonds)
+
+
+def _random_graph(rng: random.Random, n: int, density: float) -> list[int]:
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    return adj
+
+
+def test_relabel_matches_bitwise_oracle():
+    rng = random.Random(11)
+    graphs = [[], [0], [0, 0, 0]]
+    for n in (1, 2, 5, 33, 90):
+        graphs.append([((1 << n) - 1) & ~(1 << v) for v in range(n)])  # complete
+    for _ in range(200):
+        graphs.append(_random_graph(rng, rng.randint(0, 90), rng.choice((0.0, 0.05, 0.3, 0.7, 1.0))))
+    for adj in graphs:
+        assert mces_module._relabel_by_degree(adj, math.inf) == relabel_by_degree_bitwise(adj)
+
+
+class FakeClock:
+    """``time.monotonic`` stand-in that advances ``step`` seconds per reading."""
+
+    def __init__(self, step: float = 0.0):
+        self.now = 0.0
+        self.step = step
+        self.readings = 0
+
+    def __call__(self) -> float:
+        now = self.now
+        self.now += self.step
+        self.readings += 1
+        return now
+
+
+def test_relabel_checks_the_deadline_every_256_rows(monkeypatch):
+    adj = _random_graph(random.Random(2), 1000, 0.01)
+    clock = FakeClock(step=1.0)
+    monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
+    # Readings at rows 0, 256, 512 and 768 return 0, 1, 2 and 3 seconds.
+    assert mces_module._relabel_by_degree(adj, deadline=2.5) is None
+    assert clock.readings == 4
+    assert mces_module._relabel_by_degree(adj, deadline=10.0) == relabel_by_degree_bitwise(adj)
+
+
+def test_deadline_in_relabel_returns_greedy_clique(monkeypatch):
+    a = mol_from_smiles("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1")
+    b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
+    edges_a, edges_b = mces_module._labeled_edges(a), mces_module._labeled_edges(b)
+    product = mces_module._product_adjacency(a, b, edges_a, edges_b, math.inf)
+    greedy = mces_module._greedy_clique(product)
+    assert len(product) > 256 and greedy < mces_module._label_multiset_bound(edges_a, edges_b)
+
+    clock = FakeClock()
+    relabel = mces_module._relabel_by_degree
+
+    def relabel_past_the_deadline(adj, deadline):
+        clock.now = deadline + 1.0  # the product is built; time runs out here
+        return relabel(adj, deadline)
+
+    def no_search(*args):
+        raise AssertionError("the clique search ran after the deadline")
+
+    monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(mces_module, "_relabel_by_degree", relabel_past_the_deadline)
+    monkeypatch.setattr(mces_module, "_max_clique", no_search)
+    result = mces(a, b, budget=1.0)
+    assert result == mces_module.McesResult(greedy, 1 - greedy / a.n_bonds, False)
