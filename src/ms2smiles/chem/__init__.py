@@ -15,7 +15,7 @@ from .errors import (
     ValenceViolation,
 )
 from .formula import ElementCounts, canonical_formula, dbe, molecular_formula, monoisotopic_mass, parse_formula
-from .masses import MassTable, default_mass_table, load_mass_table
+from .masses import MassTable, default_mass_table
 from .mol import Atom, Bond, BondOrder, Molecule
 from .perception import mol_from_smiles, perceive
 from .smiles import parse_smiles
@@ -42,7 +42,6 @@ __all__ = [
     "canonical_smiles",
     "dbe",
     "default_mass_table",
-    "load_mass_table",
     "mol_from_smiles",
     "molecular_formula",
     "molecules_equal",

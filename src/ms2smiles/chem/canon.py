@@ -60,7 +60,8 @@ def normalized_bond_label(mol: Molecule, bond_index: int) -> int:
     return int(mol.bonds[bond_index].order)
 
 
-def _labeled_adjacency(mol: Molecule) -> list[list[tuple[int, int]]]:
+def labeled_adjacency(mol: Molecule) -> list[list[tuple[int, int]]]:
+    """Per-atom ``(normalized_bond_label, neighbor)`` pairs, in adjacency order."""
     return [
         [(normalized_bond_label(mol, bi), j) for j, bi in neighbors]
         for neighbors in mol.adjacency()
@@ -268,7 +269,7 @@ def canonical_smiles(mol: Molecule) -> str:
 
 def _canonical_string(mol: Molecule) -> str:
     seeds = [_atom_seed(mol, i) for i in range(mol.n_atoms)]
-    adjacency = _labeled_adjacency(mol)
+    adjacency = labeled_adjacency(mol)
     base_ranks, _ = refine_ranks(seeds, adjacency)
     parts = []
     for comp in mol.components():
@@ -302,8 +303,8 @@ def molecules_equal(a: Molecule, b: Molecule) -> bool:
     if sorted(labels_a) != sorted(labels_b):
         return False
 
-    adj_a = _labeled_adjacency(a)
-    adj_b = _labeled_adjacency(b)
+    adj_a = labeled_adjacency(a)
+    adj_b = labeled_adjacency(b)
     _, keys_a = refine_ranks(labels_a, adj_a)
     _, keys_b = refine_ranks(labels_b, adj_b)
     if sorted(keys_a) != sorted(keys_b):

@@ -6,7 +6,7 @@ import re
 
 from .elements import ELEMENT_SYMBOLS
 from .errors import BadFormulaSyntax, UnknownElement
-from .masses import MassTable, default_mass_table
+from .masses import default_mass_table
 from .mol import Molecule
 
 ElementCounts = dict[str, int]
@@ -69,10 +69,9 @@ def molecular_formula(mol: Molecule) -> ElementCounts:
     return counts
 
 
-def monoisotopic_mass(counts: ElementCounts, table: MassTable | None = None) -> float:
+def monoisotopic_mass(counts: ElementCounts) -> float:
     """Sum of count times element monoisotopic mass, in Da."""
-    if table is None:
-        table = default_mass_table()
+    table = default_mass_table()
     return sum(n * table.mass_of(element) for element, n in counts.items())
 
 

@@ -47,11 +47,6 @@ def parse_mass_table(text: str) -> MassTable:
     return MassTable(monoisotopic=MappingProxyType(masses), proton_mass=proton)
 
 
-def load_mass_table(path: str) -> MassTable:
-    with open(path, encoding="utf-8") as fh:
-        return parse_mass_table(fh.read())
-
-
 @lru_cache(maxsize=1)
 def default_mass_table() -> MassTable:
     text = resources.files("ms2smiles.chem").joinpath("data/masses.tsv").read_text("utf-8")

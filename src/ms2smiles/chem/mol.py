@@ -49,9 +49,6 @@ class Bond:
     b: int
     order: BondOrder | None = None
 
-    def other(self, idx: int) -> int:
-        return self.b if idx == self.a else self.a
-
     def key(self) -> tuple[int, int]:
         return (self.a, self.b) if self.a < self.b else (self.b, self.a)
 
@@ -101,11 +98,6 @@ class Molecule:
 
     def degree(self, i: int) -> int:
         return len(self.adjacency()[i])
-
-    def total_h(self, i: int) -> int:
-        if self.hydrogens is None:
-            raise ValueError("molecule not perceived: hydrogen counts unavailable")
-        return self.hydrogens[i]
 
     def components(self) -> list[list[int]]:
         """Connected components as sorted atom-index lists, in index order."""

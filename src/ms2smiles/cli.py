@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 data error, 2 usage or parse error, 3 provider
 error (including a ``run`` in which no request succeeded).  Config
 precedence is flags > config file > defaults; the config file is plain
-``key = value`` lines with ``#`` comments.
+``key = value`` lines with ``#`` comments, and every key is also the flag
+``--<key>`` with ``_`` written as ``-``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .chem import ChemError, mol_from_smiles
-from .dataset import DatasetError, load_dataset
+from .dataset import SPLITS, DatasetError, load_dataset
 from .evaluate import aggregate, evaluate_records, write_reports
 from .gateway import (
     HttpChatProvider,
@@ -48,34 +49,38 @@ class RunConfig:
     http: ProviderConfig = field(default_factory=ProviderConfig)
 
 
-_CONFIG_KEYS = {
-    "dataset": ("dataset_path", str),
-    "template": ("template_path", str),
-    "run_dir": ("run_dir", str),
-    "split": ("split", str),
-    "k": ("k", int),
-    "mces_budget": ("mces_budget", float),
-    "fp_radius": ("fp_radius", int),
-    "fp_nbits": ("fp_nbits", int),
-    "provider": ("provider", str),
-    "workers": ("workers", int),
-    "model": ("http.model_name", str),
-    "endpoint": ("http.endpoint_url", str),
-    "api_key_env": ("http.api_key_env", str),
-    "temperature": ("http.temperature", float),
-    "max_tokens": ("http.max_tokens", int),
-    "request_timeout": ("http.request_timeout", float),
-    "max_retries": ("http.max_retries", int),
-    "parallelism": ("http.parallelism", int),
-    "retry_base_delay": ("http.retry_base_delay", float),
+# Every setting, once: config key -> (RunConfig attribute, with "http." for
+# ProviderConfig, flag help).  Each key is also the flag ``--<key>`` with "_"
+# as "-"; its type is the type of its default.
+_SETTINGS = {
+    "dataset": ("dataset_path", "dataset path (TSV or JSONL)"),
+    "template": ("template_path", "prompt template path ('': the bundled one)"),
+    "run_dir": ("run_dir", "run directory for cache/transcripts/reports"),
+    "split": ("split", "fold to process: " + ", ".join(SPLITS)),
+    "k": ("k", "top-k cutoff, at least 1"),
+    "mces_budget": ("mces_budget", "seconds per MCES pair"),
+    "fp_radius": ("fp_radius", "fingerprint radius"),
+    "fp_nbits": ("fp_nbits", "fingerprint length"),
+    "provider": ("provider", "'http' or 'mock:<dir>'"),
+    "workers": ("workers", "evaluation worker processes (0: use parallelism)"),
+    "model": ("http.model_name", "model name sent to the provider"),
+    "endpoint": ("http.endpoint_url", "chat-completions endpoint URL"),
+    "api_key_env": ("http.api_key_env", "env var holding the API key"),
+    "temperature": ("http.temperature", "sampling temperature"),
+    "max_tokens": ("http.max_tokens", "completion token limit"),
+    "request_timeout": ("http.request_timeout", "seconds per HTTP request"),
+    "max_retries": ("http.max_retries", "retries after a retryable failure"),
+    "parallelism": ("http.parallelism", "request/scoring parallelism"),
+    "retry_base_delay": ("http.retry_base_delay", "first backoff delay in seconds"),
 }
 
 
-def _assign(config: RunConfig, dotted: str, value) -> None:
-    if dotted.startswith("http."):
-        setattr(config.http, dotted[5:], value)
-    else:
-        setattr(config, dotted, value)
+def _target(config: RunConfig, key: str) -> tuple[object, str]:
+    """The object and attribute name that setting ``key`` lives on."""
+    attr = _SETTINGS[key][0]
+    if attr.startswith("http."):
+        return config.http, attr[5:]
+    return config, attr
 
 
 def load_config_file(path: str, config: RunConfig) -> None:
@@ -86,38 +91,29 @@ def load_config_file(path: str, config: RunConfig) -> None:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key = value")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_KEYS:
+        if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        dotted, cast = _CONFIG_KEYS[key]
-        _assign(config, dotted, cast(value))
+        target, attr = _target(config, key)
+        cast = type(getattr(target, attr))
+        try:
+            setattr(target, attr, cast(value))
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: {key} expects {cast.__name__}, got {value!r}") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """Defaults, then the config file, then flags; then the range checks."""
     config = RunConfig()
     if getattr(args, "config", None):
         load_config_file(args.config, config)
-    for flag, key in (
-        ("dataset", "dataset"),
-        ("template", "template"),
-        ("run_dir", "run_dir"),
-        ("split", "split"),
-        ("k", "k"),
-        ("mces_budget", "mces_budget"),
-        ("fp_radius", "fp_radius"),
-        ("fp_nbits", "fp_nbits"),
-        ("provider", "provider"),
-        ("workers", "workers"),
-        ("model", "model"),
-        ("endpoint", "endpoint"),
-        ("api_key_env", "api_key_env"),
-        ("temperature", "temperature"),
-        ("max_tokens", "max_tokens"),
-        ("parallelism", "parallelism"),
-    ):
-        value = getattr(args, flag, None)
+    for key in _SETTINGS:
+        value = getattr(args, key, None)
         if value is not None:
-            dotted, _ = _CONFIG_KEYS[key]
-            _assign(config, dotted, value)
+            setattr(*_target(config, key), value)
+    if config.k < 1:
+        raise ValueError(f"k must be at least 1, got {config.k}")
+    if config.split not in SPLITS:
+        raise ValueError(f"split must be one of {', '.join(SPLITS)}, got {config.split!r}")
     return config
 
 
@@ -227,24 +223,21 @@ def cmd_mces(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _add_flag(parser: argparse.ArgumentParser, key: str, default=None) -> None:
+    value = getattr(*_target(RunConfig(), key))
+    parser.add_argument(
+        "--" + key.replace("_", "-"),
+        dest=key,
+        type=type(value),
+        default=default,
+        help=f"{_SETTINGS[key][1]} (default: {value!r})",
+    )
+
+
 def _add_shared_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--dataset", help="dataset path (TSV or JSONL)")
-    parser.add_argument("--template", help="prompt template path (default: bundled)")
-    parser.add_argument("--run-dir", dest="run_dir", help="run directory for cache/transcripts/reports")
-    parser.add_argument("--split", choices=("train", "val", "test"), help="fold to process")
-    parser.add_argument("--k", type=int, help="top-k cutoff (default 10)")
-    parser.add_argument("--mces-budget", dest="mces_budget", type=float, help="seconds per MCES pair")
-    parser.add_argument("--fp-radius", dest="fp_radius", type=int, help="fingerprint radius")
-    parser.add_argument("--fp-nbits", dest="fp_nbits", type=int, help="fingerprint length")
-    parser.add_argument("--provider", help="'http' or 'mock:<dir>'")
-    parser.add_argument("--model", help="model name sent to the provider")
-    parser.add_argument("--endpoint", help="chat-completions endpoint URL")
-    parser.add_argument("--api-key-env", dest="api_key_env", help="env var holding the API key")
-    parser.add_argument("--temperature", type=float, help="sampling temperature")
-    parser.add_argument("--max-tokens", dest="max_tokens", type=int, help="completion token limit")
-    parser.add_argument("--parallelism", type=int, help="request/scoring parallelism")
-    parser.add_argument("--workers", type=int, help="evaluation worker processes")
+    for key in _SETTINGS:
+        _add_flag(parser, key)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -256,7 +249,7 @@ def main(argv: list[str] | None = None) -> int:
     p_mces = sub.add_parser("mces")
     p_mces.add_argument("smiles_a")
     p_mces.add_argument("smiles_b")
-    p_mces.add_argument("--mces-budget", dest="mces_budget", type=float, default=1.0)
+    _add_flag(p_mces, "mces_budget", default=RunConfig.mces_budget)
 
     args = parser.parse_args(argv)
     if args.command == "mces":

@@ -34,10 +34,10 @@ import csv
 import json
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .chem import ChemError, canonical_smiles, dbe, mol_from_smiles, molecular_formula
 from .chem.formula import ElementCounts, canonical_formula, parse_formula
@@ -290,36 +290,39 @@ class AggregateReport:
             ("MCES truncated (%)", f"{self.mces_truncated_pct:.2f}"),
         ]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+def _pct(flags: Iterable[bool], n: int) -> float:
+    """Percentage of true ``flags`` among ``n``; 0.0 when ``n`` is 0."""
+    return 100.0 * sum(flags) / n if n else 0.0
+
+
+def _mean(values: Iterable[float], n: int, empty: float = 0.0) -> float:
+    """Mean of ``n`` values; ``empty`` when ``n`` is 0."""
+    return sum(values) / n if n else empty
+
+
+def _structural_rates(metrics: Sequence[PerSpectrumMetrics]) -> dict:
+    """The rates reported per weight bin, in per_bin.csv column order."""
+    n = len(metrics)
+    return {
+        "exact_top1_pct": _pct((m.exact_top1 for m in metrics), n),
+        "exact_topk_pct": _pct((m.exact_topk for m in metrics), n),
+        "mts_top1_mean": _mean((m.mts_top1 for m in metrics), n),
+        "mts_topk_mean": _mean((m.mts_topk for m in metrics), n),
+        "mces_top1_mean": _mean((m.mces_top1 for m in metrics), n, empty=1.0),
+        "mces_topk_mean": _mean((m.mces_topk for m in metrics), n, empty=1.0),
+    }
 
 
 def _rates(metrics: Sequence[PerSpectrumMetrics]) -> dict:
+    """The structural rates plus validity, DBE and formula, with the count ``n``."""
     n = len(metrics)
-    if n == 0:
-        return {
-            "n": 0,
-            "smiles_validity_pct": 0.0,
-            "dbe_accuracy_pct": 0.0,
-            "formula_consistency_pct": 0.0,
-            "exact_top1_pct": 0.0,
-            "exact_topk_pct": 0.0,
-            "mts_top1_mean": 0.0,
-            "mts_topk_mean": 0.0,
-            "mces_top1_mean": 1.0,
-            "mces_topk_mean": 1.0,
-        }
     return {
         "n": n,
-        "smiles_validity_pct": 100.0 * sum(m.validity_top1 for m in metrics) / n,
-        "dbe_accuracy_pct": 100.0 * sum(m.dbe_correct_top1 for m in metrics) / n,
-        "formula_consistency_pct": 100.0 * sum(m.formula_consistent_any for m in metrics) / n,
-        "exact_top1_pct": 100.0 * sum(m.exact_top1 for m in metrics) / n,
-        "exact_topk_pct": 100.0 * sum(m.exact_topk for m in metrics) / n,
-        "mts_top1_mean": sum(m.mts_top1 for m in metrics) / n,
-        "mts_topk_mean": sum(m.mts_topk for m in metrics) / n,
-        "mces_top1_mean": sum(m.mces_top1 for m in metrics) / n,
-        "mces_topk_mean": sum(m.mces_topk for m in metrics) / n,
+        "smiles_validity_pct": _pct((m.validity_top1 for m in metrics), n),
+        "dbe_accuracy_pct": _pct((m.dbe_correct_top1 for m in metrics), n),
+        "formula_consistency_pct": _pct((m.formula_consistent_any for m in metrics), n),
+        **_structural_rates(metrics),
     }
 
 
@@ -336,59 +339,38 @@ def aggregate(
     """
     if not metrics:
         raise EmptyInput("no per-spectrum metrics to aggregate")
-    n = len(metrics)
     overall = _rates(metrics)
+    n = overall.pop("n")
     answered = _rates([m for m in metrics if m.has_answer])
 
     with_think = [a for a in audits if a.word_count > 0]
-    dbe_claims = [a for a in audits if a.dbe_claim_correct is not None]
-    formula_claims = [a for a in audits if a.formula_claim_correct is not None]
     n_audits = len(audits)
     cot = {
         "n_think": len(with_think),
-        "mean_cot_words": (sum(a.word_count for a in with_think) / len(with_think)) if with_think else 0.0,
-        "n_dbe_claims": len(dbe_claims),
-        "dbe_claim_correct_pct": (100.0 * sum(bool(a.dbe_claim_correct) for a in audits) / n_audits) if n_audits else 0.0,
-        "n_formula_claims": len(formula_claims),
-        "formula_claim_correct_pct": (100.0 * sum(bool(a.formula_claim_correct) for a in audits) / n_audits) if n_audits else 0.0,
-        "contradiction_pct": (100.0 * sum(a.contradiction for a in audits) / n_audits) if n_audits else 0.0,
+        "mean_cot_words": _mean((a.word_count for a in with_think), len(with_think)),
+        "n_dbe_claims": sum(a.dbe_claim_correct is not None for a in audits),
+        "dbe_claim_correct_pct": _pct((bool(a.dbe_claim_correct) for a in audits), n_audits),
+        "n_formula_claims": sum(a.formula_claim_correct is not None for a in audits),
+        "formula_claim_correct_pct": _pct((bool(a.formula_claim_correct) for a in audits), n_audits),
+        "contradiction_pct": _pct((a.contradiction for a in audits), n_audits),
     }
 
     bins = []
     for label in WEIGHT_BIN_LABELS:
         in_bin = [m for m in metrics if m.bin == label]
-        row = {"bin": label, "count": len(in_bin)}
-        stats = _rates(in_bin)
-        for key in (
-            "exact_top1_pct",
-            "exact_topk_pct",
-            "mts_top1_mean",
-            "mts_topk_mean",
-            "mces_top1_mean",
-            "mces_topk_mean",
-        ):
-            row[key] = stats[key]
-        bins.append(row)
+        bins.append({"bin": label, "count": len(in_bin), **_structural_rates(in_bin)})
 
     return AggregateReport(
         k=k,
         n_records=n,
         n_answered=answered["n"],
-        think_rate_pct=100.0 * sum(m.has_think for m in metrics) / n,
-        answer_rate_pct=100.0 * sum(m.has_answer for m in metrics) / n,
-        smiles_validity_pct=overall["smiles_validity_pct"],
-        dbe_accuracy_pct=overall["dbe_accuracy_pct"],
-        formula_consistency_pct=overall["formula_consistency_pct"],
-        exact_top1_pct=overall["exact_top1_pct"],
-        exact_topk_pct=overall["exact_topk_pct"],
-        mts_top1_mean=overall["mts_top1_mean"],
-        mts_topk_mean=overall["mts_topk_mean"],
-        mces_top1_mean=overall["mces_top1_mean"],
-        mces_topk_mean=overall["mces_topk_mean"],
-        mces_truncated_pct=100.0 * sum(m.mces_truncated for m in metrics) / n,
+        think_rate_pct=_pct((m.has_think for m in metrics), n),
+        answer_rate_pct=_pct((m.has_answer for m in metrics), n),
+        mces_truncated_pct=_pct((m.mces_truncated for m in metrics), n),
         answered=answered,
         cot=cot,
         bins=bins,
+        **overall,
     )
 
 
@@ -440,24 +422,7 @@ def evaluate_records(
     return metrics, audits
 
 
-_PER_SPECTRUM_COLUMNS = (
-    "record_id",
-    "bin",
-    "has_think",
-    "has_answer",
-    "n_candidates",
-    "n_valid",
-    "validity_top1",
-    "formula_consistent_any",
-    "dbe_correct_top1",
-    "exact_top1",
-    "exact_topk",
-    "mts_top1",
-    "mts_topk",
-    "mces_top1",
-    "mces_topk",
-    "mces_truncated",
-)
+_PER_SPECTRUM_COLUMNS = tuple(f.name for f in fields(PerSpectrumMetrics))
 
 
 def _cell(value) -> object:
@@ -490,8 +455,7 @@ def write_reports(
         writer = csv.writer(fh)
         writer.writerow(_PER_SPECTRUM_COLUMNS)
         for m in metrics:
-            row = asdict(m)
-            writer.writerow([_cell(row[c]) for c in _PER_SPECTRUM_COLUMNS])
+            writer.writerow([_cell(value) for value in astuple(m)])
 
     with open(paths["aggregate_csv"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -499,24 +463,13 @@ def write_reports(
         writer.writerows(report.table_rows())
 
     with open(paths["aggregate_json"], "w", encoding="utf-8") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
+        json.dump(asdict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
     with open(paths["per_bin"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        columns = (
-            "bin",
-            "count",
-            "exact_top1_pct",
-            "exact_topk_pct",
-            "mts_top1_mean",
-            "mts_topk_mean",
-            "mces_top1_mean",
-            "mces_topk_mean",
-        )
-        writer.writerow(columns)
-        for row in report.bins:
-            writer.writerow([_cell(row[c]) for c in columns])
+        writer = csv.DictWriter(fh, fieldnames=list(report.bins[0]))
+        writer.writeheader()
+        writer.writerows(report.bins)
 
     with open(paths["cot_audit"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -108,34 +108,10 @@ class TranscriptCache:
         os.replace(tmp, path)
 
 
-def _default_payload(prompt: str, config: ProviderConfig) -> dict:
-    return {
-        "model": config.model_name,
-        "messages": [{"role": "user", "content": prompt}],
-        "temperature": config.temperature,
-        "max_tokens": config.max_tokens,
-    }
-
-
-def _default_extract(body: dict) -> str:
-    return body["choices"][0]["message"]["content"]
-
-
 class HttpChatProvider:
-    """Chat-completions HTTP transport.
+    """Chat-completions HTTP transport; ``post`` stands in for ``requests.post``."""
 
-    ``build_payload``/``extract_text`` are the adapter hooks for providers
-    with divergent wire schemas.
-    """
-
-    def __init__(
-        self,
-        build_payload: Callable[[str, ProviderConfig], dict] = _default_payload,
-        extract_text: Callable[[dict], str] = _default_extract,
-        post: Callable | None = None,
-    ):
-        self.build_payload = build_payload
-        self.extract_text = extract_text
+    def __init__(self, post: Callable | None = None):
         self._post = post or requests.post
 
     def fetch(self, prompt: str, config: ProviderConfig, record_id: str) -> str:
@@ -146,7 +122,12 @@ class HttpChatProvider:
         try:
             response = self._post(
                 config.endpoint_url,
-                json=self.build_payload(prompt, config),
+                json={
+                    "model": config.model_name,
+                    "messages": [{"role": "user", "content": prompt}],
+                    "temperature": config.temperature,
+                    "max_tokens": config.max_tokens,
+                },
                 headers=headers,
                 timeout=config.request_timeout,
             )
@@ -161,7 +142,7 @@ class HttpChatProvider:
         if status_code != 200:
             raise _Fatal(STATUS_HTTP_ERROR, f"HTTP {status_code}")
         try:
-            text = self.extract_text(response.json())
+            text = response.json()["choices"][0]["message"]["content"]
         except Exception as exc:
             raise _Fatal(STATUS_HTTP_ERROR, f"malformed response body: {exc}") from exc
         if not text:

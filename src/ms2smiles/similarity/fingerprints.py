@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..chem.canon import normalized_bond_label, stable_hash
+from ..chem.canon import labeled_adjacency, stable_hash
 from ..chem.mol import Molecule
 
 
@@ -38,10 +38,7 @@ def morgan_fingerprint(mol: Molecule, radius: int = 2, nbits: int = 2048) -> Fin
     if nbits < 64 or nbits & (nbits - 1):
         raise ValueError("nbits must be a power of two >= 64")
 
-    adjacency = [
-        [(normalized_bond_label(mol, bi), j) for j, bi in neighbors]
-        for neighbors in mol.adjacency()
-    ]
+    adjacency = labeled_adjacency(mol)
     codes = [
         stable_hash(
             "fp0",

@@ -28,6 +28,7 @@ allows, a lower bound on any ``mces`` result, without building the product.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
@@ -126,14 +127,11 @@ def _labeled_edges(mol: Molecule) -> list[tuple[int, int, tuple]]:
     return edges
 
 
+_edge_label = itemgetter(2)
+
+
 def _label_multiset_bound(edges_a, edges_b) -> int:
-    counts_b: dict[tuple, int] = {}
-    for _, _, label in edges_b:
-        counts_b[label] = counts_b.get(label, 0) + 1
-    counts_a: dict[tuple, int] = {}
-    for _, _, label in edges_a:
-        counts_a[label] = counts_a.get(label, 0) + 1
-    return sum(min(n, counts_b.get(label, 0)) for label, n in counts_a.items())
+    return sum((Counter(map(_edge_label, edges_a)) & Counter(map(_edge_label, edges_b))).values())
 
 
 def _product_adjacency(

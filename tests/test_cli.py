@@ -3,6 +3,9 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
+from ms2smiles import cli
 from ms2smiles.cli import main
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.tsv")
@@ -197,3 +200,80 @@ def test_unknown_provider_is_usage_error():
 
 def test_missing_dataset_is_usage_error():
     assert main(["ingest"]) == 2
+
+
+def _config_of(monkeypatch, argv):
+    """The RunConfig that ``main(argv)`` hands to ``ingest``."""
+    seen = []
+    monkeypatch.setattr(cli, "cmd_ingest", lambda config: seen.append(config) or 0)
+    assert main(argv) == 0
+    return seen[0]
+
+
+def _setting_values(key):
+    """A config-file value and a different flag value for ``key``, both valid."""
+    default = getattr(*cli._target(cli.RunConfig(), key))
+    if key == "split":
+        return "train", "val"
+    if isinstance(default, str):
+        return "from-file", "from-flag"
+    return type(default)(default + 1), type(default)(default + 2)
+
+
+@pytest.mark.parametrize("key", sorted(cli._SETTINGS))
+def test_every_setting_round_trips_through_file_and_flag(tmp_path, monkeypatch, key):
+    flag = "--" + key.replace("_", "-")
+    default = getattr(*cli._target(cli.RunConfig(), key))
+    file_value, flag_value = _setting_values(key)
+    config_path = tmp_path / "one.conf"
+    config_path.write_text(f"{key} = {file_value}\n", encoding="utf-8")
+    base = [] if key == "dataset" else ["--dataset", FIXTURE]
+
+    for argv, expected in (
+        (["--config", str(config_path)], file_value),
+        ([flag, str(flag_value)], flag_value),
+        (["--config", str(config_path), flag, str(flag_value)], flag_value),
+    ):
+        config = _config_of(monkeypatch, ["ingest", *base, *argv])
+        value = getattr(*cli._target(config, key))
+        assert value == expected
+        assert type(value) is type(default)
+
+
+def test_run_help_lists_every_setting(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    for key in cli._SETTINGS:
+        assert "--" + key.replace("_", "-") in out
+
+
+@pytest.mark.parametrize("k", ["0", "-1"])
+def test_k_below_one_is_usage_error(tmp_path, capsys, k):
+    assert main(["evaluate", "--dataset", FIXTURE, "--run-dir", str(tmp_path), "--k", k]) == 2
+    assert "k must be at least 1" in capsys.readouterr().err
+    config = tmp_path / "bad.conf"
+    config.write_text(f"dataset = {FIXTURE}\nk = {k}\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(config), "--run-dir", str(tmp_path)]) == 2
+
+
+def test_unknown_split_is_usage_error(tmp_path, capsys):
+    assert main(["run", "--dataset", FIXTURE, "--split", "foo",
+                 "--provider", f"mock:{TRANSCRIPTS}", "--run-dir", str(tmp_path / "a")]) == 2
+    assert "split must be one of" in capsys.readouterr().err
+    config = tmp_path / "bad.conf"
+    config.write_text(f"dataset = {FIXTURE}\nsplit = foo\n", encoding="utf-8")
+    assert main(["run", "--config", str(config), "--provider", f"mock:{TRANSCRIPTS}",
+                 "--run-dir", str(tmp_path / "b")]) == 2
+    assert "split must be one of" in capsys.readouterr().err
+    assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+
+def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
+    config = tmp_path / "bad.conf"
+    config.write_text(f"dataset = {FIXTURE}\n# comment\ntemperature = warm\n", encoding="utf-8")
+    assert main(["ingest", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert f"{config}:3: temperature" in err
+    assert "'warm'" in err
