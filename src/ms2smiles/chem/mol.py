@@ -3,8 +3,9 @@
 A ``Molecule`` comes out of the SMILES reader in raw form (no hydrogen counts,
 possibly aromatic bond orders) and is finalized by ``perception.perceive``,
 after which it is treated as immutable and safe to share across threads.
-Derived values (adjacency lists, the canonical SMILES) are computed on first
-use and cached on the instance; recomputing them gives the same value.
+Derived values (adjacency lists, the canonical SMILES, the MCES inputs) are
+computed on first use and cached on the instance; recomputing them gives the
+same value.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ class Molecule:
         default=None, init=False, repr=False, compare=False
     )
     _canonical: str | None = field(default=None, init=False, repr=False, compare=False)
+    _mces: object | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_atoms(self) -> int:

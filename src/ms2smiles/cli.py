@@ -84,7 +84,11 @@ def _target(config: RunConfig, key: str) -> tuple[object, str]:
 
 
 def load_config_file(path: str, config: RunConfig) -> None:
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise ValueError(f"{path}: no such config file") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -15,10 +15,14 @@ Invalid candidates are skipped inside the top-k scans, never zero-scored.
 
 The rank-0 candidate is always searched, so MCES top-1 is its own value.
 Past rank 0, a candidate is searched only when its ``mces_floor`` lies
-below the running top-k minimum: any result of its search, truncated or
-not, is at least that floor and so could not lower the minimum.  Top-1 and
-top-k values are therefore those of searching every candidate, and
-``mces_truncated`` flags a truncated search among those that ran.
+below the running top-k minimum.  The floor is the dissimilarity that the
+tighter of two upper bounds on the common edge count allows: the shared
+bond-label multiset and the degree-sequence bound (per bond class, the two
+molecules' per-atom counts of incident bonds, paired off).  Any result of
+the candidate's search, truncated or not, is at least that floor and so
+could not lower the minimum.  Top-1 and top-k values are therefore those of
+searching every candidate, and ``mces_truncated`` flags a truncated search
+among those that ran.  ``k`` below 1 is rejected.
 
 Ground truths and candidates repeat across records and runs, so every SMILES
 goes through ``prepare``: a bounded per-process LRU memo that parses,
@@ -117,6 +121,11 @@ def _prepare_truth(record: SpectrumRecord) -> PreparedMol:
     return gt
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
+
+
 def score_spectrum(
     record: SpectrumRecord,
     parsed: ParsedResponse,
@@ -126,6 +135,7 @@ def score_spectrum(
     fp_radius: int = 2,
     fp_nbits: int = 2048,
 ) -> PerSpectrumMetrics:
+    _check_k(k)
     gt = _prepare_truth(record)
     gt_canonical = canonical_smiles(gt.mol)
     gt_fp = fingerprint(record.ground_truth, fp_radius, fp_nbits)
@@ -408,6 +418,7 @@ def evaluate_records(
     workers: int = 1,
 ) -> tuple[list[PerSpectrumMetrics], list[CotAudit]]:
     """Score every record against its transcript (missing means empty)."""
+    _check_k(k)
     tasks = [
         (record, transcripts.get(record.id, ""), k, mces_budget, fp_radius, fp_nbits)
         for record in records

@@ -277,3 +277,11 @@ def test_bad_config_value_names_file_line_and_key(tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{config}:3: temperature" in err
     assert "'warm'" in err
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    missing = tmp_path / "nonexistent.cfg"
+    assert main(["ingest", "--config", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert f"error: {missing}: no such config file" in err
+    assert "Traceback" not in err

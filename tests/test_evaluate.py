@@ -13,6 +13,7 @@ from ms2smiles.evaluate import (
     aggregate,
     audit_cot,
     evaluate_one,
+    evaluate_records,
     fingerprint,
     prepare,
     score_spectrum,
@@ -115,6 +116,15 @@ def test_monotone_in_k():
         assert m.mces_topk <= previous_mces
         assert m.exact_topk >= previous_exact
         previous_mts, previous_mces, previous_exact = m.mts_topk, m.mces_topk, m.exact_topk
+
+
+@pytest.mark.parametrize("k", [0, -1])
+def test_k_below_one_is_rejected(k):
+    record = make_record("CCO")
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        score_spectrum(record, response(["CCO", "CCC"]), k=k)
+    with pytest.raises(ValueError, match="k must be at least 1"):
+        evaluate_records([record], {record.id: "<answer>CCO</answer>"}, k=k)
 
 
 def _mces_searching_every_candidate(truth, candidates, k, budget):

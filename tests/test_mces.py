@@ -1,12 +1,18 @@
 from __future__ import annotations
 
 import importlib
+import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import ms2smiles
 from ms2smiles.chem import mol_from_smiles
 from ms2smiles.chem.mol import Molecule
 from ms2smiles.similarity import mces, mces_floor
@@ -158,13 +164,15 @@ def test_relabel_checks_the_deadline_every_256_rows(monkeypatch):
     assert mces_module._relabel_by_degree(adj, deadline=10.0) == relabel_by_degree_bitwise(adj)
 
 
-def test_deadline_in_relabel_returns_greedy_clique(monkeypatch):
+def test_deadline_in_relabel_returns_best_lower_bound(monkeypatch):
     a = mol_from_smiles("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1")
     b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
-    edges_a, edges_b = mces_module._labeled_edges(a), mces_module._labeled_edges(b)
-    product = mces_module._product_adjacency(a, b, edges_a, edges_b, math.inf)
+    pa, pb = mces_module._profile(a), mces_module._profile(b)
+    product = mces_module._product_adjacency(pa, pb, math.inf)
     greedy = mces_module._greedy_clique(product)
-    assert len(product) > 256 and greedy < mces_module._label_multiset_bound(edges_a, edges_b)
+    seeded, _ = mces_module._seeded_lower_bound(pa, pb, a.n_bonds, math.inf)
+    lower = max(greedy, seeded)
+    assert len(product) > 256 and lower < mces_module._assignment_bound(pa, pb, math.inf)
 
     clock = FakeClock()
     relabel = mces_module._relabel_by_degree
@@ -180,4 +188,165 @@ def test_deadline_in_relabel_returns_greedy_clique(monkeypatch):
     monkeypatch.setattr(mces_module, "_relabel_by_degree", relabel_past_the_deadline)
     monkeypatch.setattr(mces_module, "_max_clique", no_search)
     result = mces(a, b, budget=1.0)
-    assert result == mces_module.McesResult(greedy, 1 - greedy / a.n_bonds, False)
+    assert result == mces_module.McesResult(lower, 1 - lower / a.n_bonds, False)
+
+
+def _bound_chain(a, b) -> tuple[int, int, int, int]:
+    """Seeded lower bound and the three upper bounds, tightest first."""
+    pa, pb = mces_module._profile(a), mces_module._profile(b)
+    no_cap = a.n_bonds + b.n_bonds + 1
+    seeded, expired = mces_module._seeded_lower_bound(pa, pb, no_cap, math.inf)
+    assert not expired
+    return (
+        seeded,
+        mces_module._assignment_bound(pa, pb, math.inf),
+        mces_module._degree_sequence_bound(pa, pb),
+        mces_module._label_multiset_bound(pa, pb),
+    )
+
+
+def test_bounds_bracket_the_oracle(corpus):
+    small = [s for s in corpus if mol_from_smiles(s).n_atoms <= 8]
+    special = ["C", "O", "CC", "CO", "C=O", "[Na+].[Cl-]", "CC.O", "CCO.CC", "C1CC1.N", "OC=O"]
+    rng = random.Random(23)
+    pairs = [(rng.choice(small), rng.choice(small)) for _ in range(200)]
+    pairs += [(x, rng.choice(small)) for x in special for _ in range(3)]
+    pairs += list(itertools.combinations(special, 2))
+    for sa, sb in pairs:
+        a, b = mol_from_smiles(sa), mol_from_smiles(sb)
+        seeded, assignment, degree, label = _bound_chain(a, b)
+        exact = brute_force_mces(a, b)
+        assert seeded <= exact <= assignment <= degree <= label, (sa, sb)
+        result = mces(a, b, budget=10.0)
+        assert result.optimal and result.common_edges == exact
+        assert mces_floor(a, b) <= result.dissimilarity
+
+
+def test_matching_equals_exhaustive_assignment():
+    rng = random.Random(31)
+    for _ in range(150):
+        n = rng.randint(0, 5)
+        m = rng.randint(max(n, 1), 6)
+        weights = [[rng.randint(0, 4) for _ in range(m)] for _ in range(n)]
+        best = max(
+            sum(weights[i][j] for i, j in enumerate(cols))
+            for cols in itertools.permutations(range(m), n)
+        )
+        assert mces_module._max_weight_matching(weights, math.inf) == best
+
+
+STEROID_ANALOG = (
+    "CC12CCC(OC5OC(C(=O)O)C(OC6OC(C(=O)O)C(O)C(O)C6O)C(O)C5O)CC1CCC1C2CCC2(C)C(C(C)CCCC(C)C)CCC12",
+    "CC12CCC(OC5OC(C(=O)O)C(OC6OC(CO)C(O)C(O)C6NC(C)=O)C(O)C5O)CC1CCC1C2CCC2(C)C(C(C)CCCC(C)C)CCC12",
+)
+PEPTIDE_ANALOG = (
+    "NC(Cc9c[nH]cn9)C(=O)NC(C(C)CC)C(=O)NC(C)C(=O)NC(CCC(N)=O)C(=O)NC(C(C)C)C(=O)"
+    "NC(Cc9ccc(O)cc9)C(=O)NC(C(C)C)C(=O)O",
+    "NC(Cc9c[nH]cn9)C(=O)NC(Cc9c[nH]cn9)C(=O)NC(C)C(=O)NC(CCC(N)=O)C(=O)NC(C(C)C)C(=O)"
+    "NC(Cc9ccc(O)cc9)C(=O)NC(C(C)C)C(=O)O",
+)
+
+
+@pytest.mark.parametrize(("pair", "common"), [(STEROID_ANALOG, 55), (PEPTIDE_ANALOG, 58)])
+def test_large_analogs_are_certified_without_search(monkeypatch, pair, common):
+    def no_search(*args):
+        raise AssertionError("the clique search ran")
+
+    monkeypatch.setattr(mces_module, "_max_clique", no_search)
+    a, b = (mol_from_smiles(s) for s in pair)
+    result = mces(a, b)
+    assert result.optimal
+    assert result.common_edges == common
+    assert result.dissimilarity == 1 - common / max(a.n_bonds, b.n_bonds)
+
+
+def test_deadline_in_seeding_stops_before_the_product(monkeypatch):
+    a = mol_from_smiles("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1")
+    b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
+    pa, pb = mces_module._profile(a), mces_module._profile(b)
+    upper = mces_module._degree_sequence_bound(pa, pb)
+    monkeypatch.setattr(mces_module, "_SEEDS", 1)
+    one_seed, _ = mces_module._seeded_lower_bound(pa, pb, upper, math.inf)
+    monkeypatch.setattr(mces_module, "_SEEDS", 10)
+    assert 1 <= one_seed < upper
+
+    def no_product(*args):
+        raise AssertionError("the product was built after the deadline")
+
+    # Readings: 0 s sets the deadline at 1.5 s, the first seed reads 1 s and
+    # runs, the second reads 2 s and stops.
+    clock = FakeClock(step=1.0)
+    monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(mces_module, "_product_adjacency", no_product)
+    result = mces(a, b, budget=1.5)
+    assert result == mces_module.McesResult(one_seed, 1 - one_seed / a.n_bonds, False)
+    assert clock.readings == 3
+
+
+def test_matching_checks_the_deadline_once_per_row(monkeypatch):
+    weights = [[(i * j) % 3 for j in range(6)] for i in range(5)]
+    clock = FakeClock(step=1.0)
+    monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
+    # Rows 1-4 read 0, 1, 2 and 3 seconds.
+    assert mces_module._max_weight_matching(weights, deadline=2.5) is None
+    assert clock.readings == 4
+    assert mces_module._max_weight_matching(weights, deadline=100.0) is not None
+
+
+def test_deadline_in_matching_returns_best_lower_bound(monkeypatch):
+    a = mol_from_smiles("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1")
+    b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
+    pa, pb = mces_module._profile(a), mces_module._profile(b)
+    greedy = mces_module._greedy_clique(mces_module._product_adjacency(pa, pb, math.inf))
+    seeded, _ = mces_module._seeded_lower_bound(pa, pb, a.n_bonds, math.inf)
+    lower = max(greedy, seeded)
+
+    clock = FakeClock()
+    assignment = mces_module._assignment_bound
+
+    def assignment_past_the_deadline(pa, pb, deadline):
+        clock.now = deadline + 1.0
+        return assignment(pa, pb, deadline)
+
+    def no_search(*args):
+        raise AssertionError("the relabel or the search ran after the deadline")
+
+    monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
+    monkeypatch.setattr(mces_module, "_assignment_bound", assignment_past_the_deadline)
+    monkeypatch.setattr(mces_module, "_relabel_by_degree", no_search)
+    monkeypatch.setattr(mces_module, "_max_clique", no_search)
+    result = mces(a, b, budget=1.0)
+    assert result == mces_module.McesResult(lower, 1 - lower / a.n_bonds, False)
+
+
+_SEEDING_SCRIPT = """
+import importlib, math, sys
+from ms2smiles.chem import mol_from_smiles
+mces_module = importlib.import_module("ms2smiles.similarity.mces")
+smiles = sys.stdin.read().split()
+for sa, sb in zip(smiles[::2], smiles[1::2]):
+    pa = mces_module._profile(mol_from_smiles(sa))
+    pb = mces_module._profile(mol_from_smiles(sb))
+    print(mces_module._seeded_lower_bound(pa, pb, 10**6, math.inf), pa.env[:3])
+"""
+
+
+def test_seeding_does_not_depend_on_the_hash_seed(corpus):
+    rng = random.Random(41)
+    smiles = rng.sample(corpus, 40) + list(STEROID_ANALOG) + list(PEPTIDE_ANALOG)
+    src = str(Path(ms2smiles.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-c", _SEEDING_SCRIPT],
+            input="\n".join(smiles),
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+            check=True,
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert len(outputs[0].splitlines()) == len(smiles) // 2
