@@ -15,32 +15,27 @@ the two meet.  In order, cheapest first:
    to a distinct edge of the same class at u's image, so per class the two
    molecules' descending count sequences, paired off, bound twice the
    common edges at those atoms.
-2. Seeded lower bound, before any product is built.  Same-element atom
-   pairs are ranked by the radius (0-4) to which their circular
-   environments agree.  From each of the best ``_SEEDS`` pairs one
-   element-preserving injective mapping is grown along same-order bonds,
-   then restarted from the next unmapped ranked pair, and the A-bonds whose
-   image is a same-order B-bond are counted.  The first seed that reaches
-   the upper bound ends the call.
-3. Modular product and greedy clique.  The product of the two line graphs
-   has one vertex per oriented compatible edge pair and an edge between
-   pairs whose union is still a consistent injective mapping (which also
-   rules out the triangle/star line-graph ambiguity).  Its greedy clique
-   joins the seeded value as the lower bound.
-4. Assignment upper bound, only for pairs still open.  A maximum-weight
+2. Seeded lower bound.  Same-element atom pairs are ranked by the radius
+   (0-4) to which their circular environments agree.  From each of the
+   best ``_SEEDS`` pairs one element-preserving injective mapping is grown
+   along same-order bonds, then restarted from the next unmapped ranked
+   pair, and the A-bonds whose image is a same-order B-bond are counted.
+   The first seed that reaches the upper bound ends the call.
+3. Assignment upper bound, only for pairs still open.  A maximum-weight
    matching per element, where an atom pair weighs the size of the
    multiset intersection of its incident (neighbour element, order) labels,
    bounds twice the common edges of any single mapping.
-5. Relabel and search.  The product's vertices are renumbered by
-   descending degree, which tightens the coloring bound (each row is
-   permuted in C as a binary string), and a branch-and-bound maximum clique
-   search runs from the lower bound and stops at the upper one.
+4. Partition search, a McSplit branch and bound (McCreesh, Prosser &
+   Trimble, IJCAI 2017) over the two bond line graphs.  Mapping a bond also
+   maps its atoms, so every result is an injective, element-preserving atom
+   map (which rules out the triangle/star line-graph ambiguity).  It runs
+   from the lower bound and stops at the upper one.
 
 ``optimal=True`` means the lower bound met an upper bound, or the search
-finished, so the count is the maximum.  A wall-clock budget bounds each call: seeding checks the
-deadline once per seed, the matching once per row, and the product, the
-relabel and the search as they go.  On expiry the largest lower bound found
-so far is returned with ``optimal=False``: a lower bound on the common edge
+finished, so the count is the maximum.  A wall-clock budget bounds each
+call: seeding checks the deadline once per seed, the matching once per row
+and the search every 256 nodes.  On expiry the largest lower bound found so
+far is returned with ``optimal=False``: a lower bound on the common edge
 count, hence an upper bound on the dissimilarity.
 
 Everything read from one molecule (labelled edges, per-atom counts,
@@ -59,7 +54,6 @@ from operator import itemgetter
 from ..chem.canon import canonical_smiles, stable_hash
 from ..chem.mol import Molecule
 
-_PRODUCT_CAP = 20_000
 _SEEDS = 10
 _ENV_RADIUS = 4
 
@@ -84,6 +78,7 @@ class _Profile:
     elements: list[str]
     by_element: dict[str, list[int]]  # atom indices, ascending
     neighbors: list[list[tuple[int, int]]]  # (neighbour, order), by neighbour index
+    bonds_at: list[list[int]]  # indices into ``edges`` per atom
     incident: list[tuple]  # sorted ((neighbour element, order), count) items
     degrees: dict[tuple, list[int]]  # (element, neighbour element, order) -> counts, descending
     env: list[tuple[int, ...]]  # environment codes at radius 0.._ENV_RADIUS
@@ -119,17 +114,11 @@ def mces(a: Molecule, b: Molecule, budget: float = 1.0) -> McesResult:
     upper = min(label_bound, _degree_sequence_bound(pa, pb))
     deadline = time.monotonic() + budget
     best, expired = _seeded_lower_bound(pa, pb, upper, deadline)
+    best = max(best, 1)  # a single compatible edge pair is a common subgraph
     if best >= upper:
         return result(best, True)
-    adj = None if expired else _product_adjacency(pa, pb, deadline)
-    if adj is None:
-        # A single compatible edge pair is always a common subgraph.
-        return result(max(best, 1), False)
-    # The greedy clique visits vertices in the relabeled order, so it is the
-    # same before and after relabeling.
-    best = max(best, _greedy_clique(adj))
-    if best >= upper:
-        return result(best, True)
+    if expired:
+        return result(best, False)
 
     assignment = _assignment_bound(pa, pb, deadline)
     if assignment is None:
@@ -138,11 +127,8 @@ def mces(a: Molecule, b: Molecule, budget: float = 1.0) -> McesResult:
     if best >= upper:
         return result(best, True)
 
-    adj = _relabel_by_degree(adj, deadline)
-    if adj is None:
-        return result(best, False)
     try:
-        return result(_max_clique(adj, best, upper, deadline), True)
+        return result(_mcsplit(pa, pb, best, upper, deadline), True)
     except _Deadline as exc:
         return result(exc.args[0], False)
 
@@ -168,11 +154,11 @@ def _dissim(common: int, max_e: int) -> float:
 
 
 def _labeled_edges(mol: Molecule) -> list[tuple[int, int, tuple]]:
+    """(atom, atom, label) per bond, the lower element first."""
     edges = []
     for bond in mol.bonds:
-        ea, eb = mol.atoms[bond.a].element, mol.atoms[bond.b].element
-        pair = (ea, eb) if ea <= eb else (eb, ea)
-        edges.append((bond.a, bond.b, (pair, int(bond.order))))
+        (ea, u), (eb, v) = sorted((mol.atoms[i].element, i) for i in (bond.a, bond.b))
+        edges.append((u, v, ((ea, eb), int(bond.order))))
     return edges
 
 
@@ -190,9 +176,12 @@ def _build_profile(mol: Molecule) -> _Profile:
     for i, element in enumerate(elements):
         by_element.setdefault(element, []).append(i)
     neighbors: list[list[tuple[int, int]]] = [[] for _ in elements]
-    for u, v, (_, order) in edges:
+    bonds_at: list[list[int]] = [[] for _ in elements]
+    for i, (u, v, (_, order)) in enumerate(edges):
         neighbors[u].append((v, order))
         neighbors[v].append((u, order))
+        bonds_at[u].append(i)
+        bonds_at[v].append(i)
     for row in neighbors:
         row.sort()
 
@@ -226,6 +215,7 @@ def _build_profile(mol: Molecule) -> _Profile:
         elements=elements,
         by_element=by_element,
         neighbors=neighbors,
+        bonds_at=bonds_at,
         incident=incident,
         degrees=degrees,
         env=list(zip(*layers)),
@@ -406,136 +396,128 @@ def _max_weight_matching(weights: list[list[int]], deadline: float) -> int | Non
     return sum(weights[p[j] - 1][j - 1] for j in range(1, m + 1) if p[j])
 
 
-def _product_adjacency(pa: _Profile, pb: _Profile, deadline: float) -> list[int] | None:
-    """Adjacency bitsets of the oriented modular product, or None on timeout."""
-    edges_a, edges_b = pa.edges, pb.edges
-    elem_a, elem_b = pa.elements, pb.elements
-    by_label: dict[tuple, list[int]] = {}
-    for j, (_, _, label) in enumerate(edges_b):
-        by_label.setdefault(label, []).append(j)
+def _mcsplit(pa: _Profile, pb: _Profile, lower: int, upper: int, deadline: float) -> int:
+    """McSplit branch and bound over the bond line graphs.
 
-    ea_of: list[int] = []
-    eb_of: list[int] = []
-    assigns: list[tuple[tuple[int, int], tuple[int, int]]] = []
-    for i, (u1, u2, label) in enumerate(edges_a):
-        for j in by_label.get(label, ()):
-            v1, v2, _ = edges_b[j]
-            if elem_a[u1] == elem_b[v1] and elem_a[u2] == elem_b[v2]:
-                ea_of.append(i)
-                eb_of.append(j)
-                assigns.append(((u1, v1), (u2, v2)))
-            if v1 != v2 and elem_a[u1] == elem_b[v2] and elem_a[u2] == elem_b[v1]:
-                ea_of.append(i)
-                eb_of.append(j)
-                assigns.append(((u1, v2), (u2, v1)))
-            if len(assigns) > _PRODUCT_CAP:
-                return None
-
-    n = len(assigns)
-    if n == 0:
-        return []
-
-    mask_ea: dict[int, int] = {}
-    mask_eb: dict[int, int] = {}
-    mask_a_atom: dict[int, int] = {}
-    mask_b_atom: dict[int, int] = {}
-    mask_assign: dict[tuple[int, int], int] = {}
-    for p in range(n):
-        bit = 1 << p
-        mask_ea[ea_of[p]] = mask_ea.get(ea_of[p], 0) | bit
-        mask_eb[eb_of[p]] = mask_eb.get(eb_of[p], 0) | bit
-        for x, y in assigns[p]:
-            mask_a_atom[x] = mask_a_atom.get(x, 0) | bit
-            mask_b_atom[y] = mask_b_atom.get(y, 0) | bit
-            mask_assign[(x, y)] = mask_assign.get((x, y), 0) | bit
-
-    full = (1 << n) - 1
-    adj: list[int] = []
-    for p in range(n):
-        if p % 256 == 0 and time.monotonic() > deadline:
-            return None
-        conflict = mask_ea[ea_of[p]] | mask_eb[eb_of[p]]
-        for x, y in assigns[p]:
-            agree = mask_assign[(x, y)]
-            conflict |= mask_a_atom[x] & ~agree
-            conflict |= mask_b_atom[y] & ~agree
-        adj.append(full & ~conflict & ~(1 << p))
-    return adj
-
-
-def _relabel_by_degree(adj: list[int], deadline: float) -> list[int] | None:
-    """Renumber vertices by descending degree, or None on timeout.
-
-    The new vertex ``j`` is the old vertex ``order[j]``.  Each row is spelled
-    as a fixed-width binary string and its characters are picked in the new
-    order by one ``itemgetter``, so the permutation of a row runs in C.
+    A class pairs the A-bonds and B-bonds that may still map to each other:
+    the same label, and ends that agree under the atom map so far.  An end's
+    token is -1 when free and its B-atom when fixed.  A homonuclear bond
+    mapped with both ends free gives its four atoms the token ``nb`` plus its
+    index, which leaves the orientation open until a neighbouring bond fixes
+    one end; the token then names the other pair.  Tokens only refine, so
+    the mapped count plus the sum over classes of min(|L|, |R|) bounds every
+    extension.  Returns the largest common edge count, at least ``lower``,
+    and stops at ``upper``; raises ``_Deadline(best)`` when the deadline,
+    read every 256 nodes, has passed.
     """
-    n = len(adj)
-    if n == 0:
-        return []
-    order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
-    # Character i of a row's string is bit n-1-i, so new bit j sits at
-    # character n-1-j and is read from the old string at n-1-order[j].
-    pick = itemgetter(*[n - 1 - order[n - 1 - i] for i in range(n)])
-    width = f"0{n}b"
-    relabeled: list[int] = []
-    for new, old in enumerate(order):
-        if new % 256 == 0 and time.monotonic() > deadline:
-            return None
-        relabeled.append(int("".join(pick(format(adj[old], width))), 2))
-    return relabeled
-
-
-def _greedy_clique(adj: list[int]) -> int:
-    n = len(adj)
-    if n == 0:
-        return 0
-    order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
-    cand = (1 << n) - 1
-    size = 0
-    for v in order:
-        if cand >> v & 1:
-            size += 1
-            cand &= adj[v]
-    return size
-
-
-def _max_clique(adj: list[int], lower: int, cap: int, deadline: float) -> int:
-    """Tomita-style branch and bound with greedy coloring bounds."""
+    edges_a, edges_b = pa.edges, pb.edges
+    at_a, at_b = pa.bonds_at, pb.bonds_at
+    nb = len(pb.elements)
+    degree = [len(at_a[u]) + len(at_a[v]) - 2 for u, v, _ in edges_a]
     best = lower
-    n = len(adj)
+    nodes = 0
 
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
-        if best >= cap:
-            return
-        if time.monotonic() > deadline:
+    def key(edge: tuple, tok: list[int]) -> tuple[int, int]:
+        s, t, ((e1, e2), _) = edge
+        x, y = tok[s], tok[t]
+        return (y, x) if e1 == e2 and x > y else (x, y)
+
+    def split(classes, ci, v, w, tok_a, tok_b, hit_a, hit_b) -> tuple[list, int, int]:
+        """The classes after mapping v to w, the bonds that map for free, and
+        the sum of min(|L|, |R|).  ``hit_a`` and ``hit_b`` hold the bonds whose
+        key changed; only their classes split."""
+        out = []
+        free = bound = 0
+        for i, (left, right) in enumerate(classes):
+            if i == ci:
+                left = [x for x in left if x != v]
+                right = [y for y in right if y != w]
+            if hit_a.isdisjoint(left) and hit_b.isdisjoint(right):
+                if left and right:
+                    out.append((left, right))
+                    bound += min(len(left), len(right))
+                continue
+            keep_left: list[int] = []
+            keep_right: list[int] = []
+            # Unchanged bonds keep their class; no changed key is (-1, -1).
+            groups = {(-1, -1): (keep_left, keep_right)}
+            for x in left:
+                if x in hit_a:
+                    groups.setdefault(key(edges_a[x], tok_a), ([], []))[0].append(x)
+                else:
+                    keep_left.append(x)
+            for y in right:
+                if y not in hit_b:
+                    keep_right.append(y)
+                elif (group := groups.get(key(edges_b[y], tok_b))) is not None:
+                    group[1].append(y)
+            for (x, y), (group_left, group_right) in groups.items():
+                if not (group_left and group_right):
+                    continue
+                if 0 <= x < nb and 0 <= y < nb:
+                    free += 1  # both ends fixed: the image bond is the only match
+                else:
+                    out.append((group_left, group_right))
+                    bound += min(len(group_left), len(group_right))
+        return out, free, bound
+
+    def search(classes: list, tok_a: list[int], tok_b: list[int], count: int, bound: int):
+        """One node, as a generator that yields each child worth a visit to the
+        loop below, so depth (one level per A-bond) escapes the recursion limit."""
+        nonlocal best, nodes
+        if nodes & 255 == 0 and time.monotonic() > deadline:
             raise _Deadline(best)
-        if cand == 0:
-            if size > best:
-                best = size
+        nodes += 1
+        best = max(best, count)
+        if best >= upper or not classes:
             return
-        # Greedy coloring: a color class is an independent set, so the color
-        # number of a vertex bounds how far the clique can still grow.
-        order: list[int] = []
-        colors: list[int] = []
-        uncolored = cand
-        color = 0
-        while uncolored:
-            color += 1
-            avail = uncolored
-            while avail:
-                v = (avail & -avail).bit_length() - 1
-                order.append(v)
-                colors.append(color)
-                avail &= ~adj[v] & ~(1 << v)
-                uncolored &= ~(1 << v)
-        for idx in range(len(order) - 1, -1, -1):
-            if size + colors[idx] <= best or best >= cap:
+        ci = min(range(len(classes)), key=lambda i: max(map(len, classes[i])))
+        left, right = classes[ci]
+        v = max(left, key=degree.__getitem__)
+        s, t, ((e1, e2), _) = edges_a[v]
+        for w in right:
+            s2, t2, _ = edges_b[w]
+            child_a, child_b = tok_a[:], tok_b[:]
+            if e1 == e2 and tok_a[s] == tok_a[t] == -1:
+                child_a[s] = child_a[t] = child_b[s2] = child_b[t2] = nb + v
+                hit_a, hit_b = [s, t], [s2, t2]
+            else:
+                if e1 == e2 and tok_a[s] != tok_b[s2]:
+                    s2, t2 = t2, s2
+                hit_a, hit_b = [], []
+                for x, y in ((s, s2), (t, t2)):
+                    if not 0 <= tok_a[x] < nb:
+                        child_a[x] = child_b[y] = y
+                        hit_a.append(x)
+                        hit_b.append(y)
+            children, free, child_bound = split(
+                classes, ci, v, w, child_a, child_b,
+                {e for u in hit_a for e in at_a[u]}, {e for u in hit_b for e in at_b[u]},
+            )
+            if count + 1 + free + child_bound > best:
+                yield children, child_a, child_b, count + 1 + free, child_bound
+            if best >= upper:
                 return
-            v = order[idx]
-            expand(size + 1, cand & adj[v])
-            cand &= ~(1 << v)
+        # Leave v unmapped: its class loses one A-bond.
+        rest = [x for x in left if x != v]
+        bound -= len(left) <= len(right)
+        if count + bound > best:
+            children = classes[:ci] + ([(rest, right)] if rest else []) + classes[ci + 1:]
+            yield children, tok_a, tok_b, count, bound
 
-    expand(0, (1 << n) - 1)
+    by_label: dict[tuple, tuple[list, list]] = {}
+    for i, (_, _, label) in enumerate(edges_a):
+        by_label.setdefault(label, ([], []))[0].append(i)
+    for j, (_, _, label) in enumerate(edges_b):
+        if label in by_label:
+            by_label[label][1].append(j)
+    classes = [group for group in by_label.values() if group[1]]
+    bound = sum(min(len(left), len(right)) for left, right in classes)
+    stack = [search(classes, [-1] * len(pa.elements), [-1] * nb, 0, bound)]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        else:
+            stack.append(search(*child))
     return best

@@ -76,25 +76,3 @@ def adjacency_set(mol: Molecule) -> set[tuple[str, str, int]]:
         out.add((lo, hi, int(bond.order)))
     return out
 
-
-def relabel_by_degree_bitwise(adj: list[int]) -> list[int]:
-    """Renumber bitset-graph vertices by descending degree, one bit at a time.
-
-    The new vertex ``j`` is the ``j``-th vertex in a stable descending-degree
-    sort of the old ones.
-    """
-    n = len(adj)
-    order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
-    new_index = [0] * n
-    for new, old in enumerate(order):
-        new_index[old] = new
-    relabeled = [0] * n
-    for old in range(n):
-        mask = adj[old]
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= 1 << new_index[low.bit_length() - 1]
-            mask ^= low
-        relabeled[new_index[old]] = out
-    return relabeled

@@ -17,7 +17,7 @@ from ms2smiles.chem import mol_from_smiles
 from ms2smiles.chem.mol import Molecule
 from ms2smiles.similarity import mces, mces_floor
 
-from oracles import brute_force_mces, relabel_by_degree_bitwise
+from oracles import brute_force_mces
 
 mces_module = importlib.import_module("ms2smiles.similarity.mces")
 
@@ -118,27 +118,6 @@ def test_result_bounds(corpus):
         assert r.common_edges <= min(a.n_bonds, b.n_bonds)
 
 
-def _random_graph(rng: random.Random, n: int, density: float) -> list[int]:
-    adj = [0] * n
-    for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < density:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-    return adj
-
-
-def test_relabel_matches_bitwise_oracle():
-    rng = random.Random(11)
-    graphs = [[], [0], [0, 0, 0]]
-    for n in (1, 2, 5, 33, 90):
-        graphs.append([((1 << n) - 1) & ~(1 << v) for v in range(n)])  # complete
-    for _ in range(200):
-        graphs.append(_random_graph(rng, rng.randint(0, 90), rng.choice((0.0, 0.05, 0.3, 0.7, 1.0))))
-    for adj in graphs:
-        assert mces_module._relabel_by_degree(adj, math.inf) == relabel_by_degree_bitwise(adj)
-
-
 class FakeClock:
     """``time.monotonic`` stand-in that advances ``step`` seconds per reading."""
 
@@ -154,41 +133,28 @@ class FakeClock:
         return now
 
 
-def test_relabel_checks_the_deadline_every_256_rows(monkeypatch):
-    adj = _random_graph(random.Random(2), 1000, 0.01)
-    clock = FakeClock(step=1.0)
-    monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
-    # Readings at rows 0, 256, 512 and 768 return 0, 1, 2 and 3 seconds.
-    assert mces_module._relabel_by_degree(adj, deadline=2.5) is None
-    assert clock.readings == 4
-    assert mces_module._relabel_by_degree(adj, deadline=10.0) == relabel_by_degree_bitwise(adj)
-
-
-def test_deadline_in_relabel_returns_best_lower_bound(monkeypatch):
+def test_deadline_in_search_returns_best_lower_bound(monkeypatch):
     a = mol_from_smiles("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1")
     b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
     pa, pb = mces_module._profile(a), mces_module._profile(b)
-    product = mces_module._product_adjacency(pa, pb, math.inf)
-    greedy = mces_module._greedy_clique(product)
     seeded, _ = mces_module._seeded_lower_bound(pa, pb, a.n_bonds, math.inf)
-    lower = max(greedy, seeded)
-    assert len(product) > 256 and lower < mces_module._assignment_bound(pa, pb, math.inf)
+    assert seeded < mces_module._assignment_bound(pa, pb, math.inf)
 
     clock = FakeClock()
-    relabel = mces_module._relabel_by_degree
+    search = mces_module._mcsplit
 
-    def relabel_past_the_deadline(adj, deadline):
-        clock.now = deadline + 1.0  # the product is built; time runs out here
-        return relabel(adj, deadline)
-
-    def no_search(*args):
-        raise AssertionError("the clique search ran after the deadline")
+    def search_past_the_deadline(pa, pb, lower, upper, deadline):
+        clock.now = deadline + 1.0  # the bounds are in; time runs out here
+        readings = clock.readings
+        try:
+            return search(pa, pb, lower, upper, deadline)
+        finally:
+            assert clock.readings == readings + 1, "the search ran after the deadline"
 
     monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
-    monkeypatch.setattr(mces_module, "_relabel_by_degree", relabel_past_the_deadline)
-    monkeypatch.setattr(mces_module, "_max_clique", no_search)
+    monkeypatch.setattr(mces_module, "_mcsplit", search_past_the_deadline)
     result = mces(a, b, budget=1.0)
-    assert result == mces_module.McesResult(lower, 1 - lower / a.n_bonds, False)
+    assert result == mces_module.McesResult(seeded, 1 - seeded / a.n_bonds, False)
 
 
 def _bound_chain(a, b) -> tuple[int, int, int, int]:
@@ -222,6 +188,26 @@ def test_bounds_bracket_the_oracle(corpus):
         assert mces_floor(a, b) <= result.dissimilarity
 
 
+# Pairs whose line graphs match further than any atom map does: a triangle
+# and a three-bond star have the same line graph.
+LINE_GRAPH_TRAPS = (
+    "C1CC1", "CC(C)C", "C1OC1", "CC(C)O", "C12CC1C2",
+    "CC1(C)CC1", "C1=CC1", "CC=C(C)C", "N1CC1", "CN(C)C",
+)
+
+
+def test_search_equals_the_oracle(corpus):
+    small = [s for s in corpus if mol_from_smiles(s).n_atoms <= 8]
+    rng = random.Random(29)
+    pairs = [(rng.choice(small), rng.choice(small)) for _ in range(300)]
+    pairs += list(itertools.combinations_with_replacement(LINE_GRAPH_TRAPS, 2))
+    for sa, sb in pairs:
+        a, b = mol_from_smiles(sa), mol_from_smiles(sb)
+        pa, pb = mces_module._profile(a), mces_module._profile(b)
+        found = mces_module._mcsplit(pa, pb, 0, a.n_bonds + b.n_bonds, math.inf)
+        assert found == brute_force_mces(a, b), (sa, sb)
+
+
 def test_matching_equals_exhaustive_assignment():
     rng = random.Random(31)
     for _ in range(150):
@@ -250,9 +236,9 @@ PEPTIDE_ANALOG = (
 @pytest.mark.parametrize(("pair", "common"), [(STEROID_ANALOG, 55), (PEPTIDE_ANALOG, 58)])
 def test_large_analogs_are_certified_without_search(monkeypatch, pair, common):
     def no_search(*args):
-        raise AssertionError("the clique search ran")
+        raise AssertionError("the partition search ran")
 
-    monkeypatch.setattr(mces_module, "_max_clique", no_search)
+    monkeypatch.setattr(mces_module, "_mcsplit", no_search)
     a, b = (mol_from_smiles(s) for s in pair)
     result = mces(a, b)
     assert result.optimal
@@ -270,14 +256,14 @@ def test_deadline_in_seeding_stops_before_the_product(monkeypatch):
     monkeypatch.setattr(mces_module, "_SEEDS", 10)
     assert 1 <= one_seed < upper
 
-    def no_product(*args):
-        raise AssertionError("the product was built after the deadline")
+    def no_search(*args):
+        raise AssertionError("the search ran after the deadline")
 
     # Readings: 0 s sets the deadline at 1.5 s, the first seed reads 1 s and
     # runs, the second reads 2 s and stops.
     clock = FakeClock(step=1.0)
     monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
-    monkeypatch.setattr(mces_module, "_product_adjacency", no_product)
+    monkeypatch.setattr(mces_module, "_mcsplit", no_search)
     result = mces(a, b, budget=1.5)
     assert result == mces_module.McesResult(one_seed, 1 - one_seed / a.n_bonds, False)
     assert clock.readings == 3
@@ -297,9 +283,7 @@ def test_deadline_in_matching_returns_best_lower_bound(monkeypatch):
     a = mol_from_smiles("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1")
     b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
     pa, pb = mces_module._profile(a), mces_module._profile(b)
-    greedy = mces_module._greedy_clique(mces_module._product_adjacency(pa, pb, math.inf))
     seeded, _ = mces_module._seeded_lower_bound(pa, pb, a.n_bonds, math.inf)
-    lower = max(greedy, seeded)
 
     clock = FakeClock()
     assignment = mces_module._assignment_bound
@@ -309,14 +293,65 @@ def test_deadline_in_matching_returns_best_lower_bound(monkeypatch):
         return assignment(pa, pb, deadline)
 
     def no_search(*args):
-        raise AssertionError("the relabel or the search ran after the deadline")
+        raise AssertionError("the search ran after the deadline")
 
     monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
     monkeypatch.setattr(mces_module, "_assignment_bound", assignment_past_the_deadline)
-    monkeypatch.setattr(mces_module, "_relabel_by_degree", no_search)
-    monkeypatch.setattr(mces_module, "_max_clique", no_search)
+    monkeypatch.setattr(mces_module, "_mcsplit", no_search)
     result = mces(a, b, budget=1.0)
-    assert result == mces_module.McesResult(lower, 1 - lower / a.n_bonds, False)
+    assert result == mces_module.McesResult(seeded, 1 - seeded / a.n_bonds, False)
+
+
+def test_search_reads_the_clock_every_256_nodes(monkeypatch):
+    a = mol_from_smiles("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1")
+    b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
+    pa, pb = mces_module._profile(a), mces_module._profile(b)
+    seeded, _ = mces_module._seeded_lower_bound(pa, pb, a.n_bonds, math.inf)
+    upper = mces_module._assignment_bound(pa, pb, math.inf)
+    clock = FakeClock()
+    monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
+    full = mces_module._mcsplit(pa, pb, seeded, upper, math.inf)
+    assert clock.readings > 4 and full < upper  # the whole search reads the clock more often
+
+    # Readings at nodes 0, 256, 512 and 768 return 0, 1, 2 and 3 seconds.
+    clock.now, clock.step, clock.readings = 0.0, 1.0, 0
+    with pytest.raises(mces_module._Deadline) as stopped:
+        mces_module._mcsplit(pa, pb, seeded, upper, 2.5)
+    assert clock.readings == 4
+    found = stopped.value.args[0]
+    assert seeded <= found <= full
+
+    # Through ``mces``: the bounds read 0 s, then the search reads as above.
+    search = mces_module._mcsplit
+
+    def search_on_a_ticking_clock(*args):
+        clock.now, clock.step, clock.readings = 0.0, 1.0, 0
+        return search(*args)
+
+    clock.now, clock.step = 0.0, 0.0
+    monkeypatch.setattr(mces_module, "_mcsplit", search_on_a_ticking_clock)
+    assert mces(a, b, budget=2.5) == mces_module.McesResult(found, 1 - found / a.n_bonds, False)
+    assert clock.readings == 4
+
+
+# ``bench/data/large_library.tsv`` slots 5 and 10: unrelated decoys of the
+# same weight bin, the pairs the product-graph clique search left open.
+LIPID_VS_GLYCOSIDE = (
+    "C(OC(=O)CCC=CCC=CCCCCCCC)C(O)COC(=O)CCC=CCC=CCC=CCCCCC",
+    "c1ccc(cc1)OC2OC(CO)C(OC3OCC(O)C(O)C3O)C(O)C2NC(C)=O",
+)
+GLYCOSIDE_VS_STEROID = (
+    "O=c1ccc2ccc(cc2o1)OC2OCC(OC3OC(C(=O)O)C(O)C(O)C3O)C(O)C2O",
+    "CC12CCC(OC5OC(CO)C(O)C(O)C5O)CC1=CCC1C2CCC2(C)C(C(C)CCCC(C)C)CCC12",
+)
+
+
+@pytest.mark.parametrize(("pair", "common"), [(LIPID_VS_GLYCOSIDE, 18), (GLYCOSIDE_VS_STEROID, 22)])
+def test_decoy_pairs_are_certified(pair, common):
+    a, b = (mol_from_smiles(s) for s in pair)
+    result = mces(a, b, budget=30.0)
+    assert result.optimal
+    assert result.common_edges == common
 
 
 _SEEDING_SCRIPT = """
