@@ -58,7 +58,7 @@ _SETTINGS = {
     "run_dir": ("run_dir", "run directory for cache/transcripts/reports"),
     "split": ("split", "fold to process: " + ", ".join(SPLITS)),
     "k": ("k", "top-k cutoff, at least 1"),
-    "mces_budget": ("mces_budget", "seconds per MCES pair"),
+    "mces_budget": ("mces_budget", "seconds per MCES pair, above 0"),
     "fp_radius": ("fp_radius", "fingerprint radius"),
     "fp_nbits": ("fp_nbits", "fingerprint length"),
     "provider": ("provider", "'http' or 'mock:<dir>'"),
@@ -116,6 +116,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             setattr(*_target(config, key), value)
     if config.k < 1:
         raise ValueError(f"k must be at least 1, got {config.k}")
+    if not config.mces_budget > 0:  # NaN fails this too
+        raise ValueError(f"mces_budget must be a positive number of seconds, got {config.mces_budget}")
     if config.split not in SPLITS:
         raise ValueError(f"split must be one of {', '.join(SPLITS)}, got {config.split!r}")
     return config
@@ -220,10 +222,15 @@ def cmd_mces(args: argparse.Namespace) -> int:
     except ChemError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    result = mces(a, b, budget=args.mces_budget)
+    try:
+        result = mces(a, b, budget=args.mces_budget)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     print(f"common_edges: {result.common_edges}")
     print(f"dissimilarity: {result.dissimilarity:.6f}")
     print(f"optimal: {str(result.optimal).lower()}")
+    print(f"nodes: {result.nodes}")
     return EXIT_OK
 
 

@@ -29,7 +29,10 @@ goes through ``prepare``: a bounded per-process LRU memo that parses,
 perceives and measures each unique string once (an invalid one is memoized
 as None).  Scoring, the CoT audit and the weight bin all read the shared
 ``PreparedMol``; the top-k scan takes fingerprints from a second memo of the
-same size.  Pool workers each keep their own memos.
+same size.  A third memo of that size holds the MCES result per (ground
+truth, candidate, budget) SMILES pair, so a candidate listed twice, or a
+pair that recurs across records, is searched once.  Pool workers each keep
+their own memos.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .chem.formula import ElementCounts, canonical_formula, parse_formula
 from .chem.mol import Molecule
 from .dataset import WEIGHT_BIN_LABELS, SpectrumRecord, weight_bin
 from .protocol import ParsedResponse, parse_response
-from .similarity import Fingerprint, mces, mces_floor, morgan_fingerprint, tanimoto
+from .similarity import Fingerprint, McesResult, mces, mces_floor, morgan_fingerprint, tanimoto
 
 _MEMO_SIZE = 2048  # entries per memo and process; ~20 KiB per prepared molecule for bench/data/large_library.tsv
 
@@ -114,6 +117,12 @@ def fingerprint(smiles: str, fp_radius: int, fp_nbits: int) -> Fingerprint:
     return morgan_fingerprint(prepare(smiles).mol, radius=fp_radius, nbits=fp_nbits)
 
 
+@lru_cache(maxsize=_MEMO_SIZE)
+def pair_mces(truth: str, candidate: str, budget: float) -> McesResult:
+    """``mces`` of two valid SMILES, searched once per process, pair and budget."""
+    return mces(prepare(truth).mol, prepare(candidate).mol, budget=budget)
+
+
 def _prepare_truth(record: SpectrumRecord) -> PreparedMol:
     gt = prepare(record.ground_truth)
     if gt is None:  # a ground truth must be valid: parse again to raise its ChemError
@@ -168,7 +177,7 @@ def score_spectrum(
         # Past rank 0, a candidate whose floor cannot go below the current
         # minimum would not move it, whatever its search returned.
         if rank == 0 or mces_floor(gt.mol, cand.mol) < mces_topk:
-            result = mces(gt.mol, cand.mol, budget=mces_budget)
+            result = pair_mces(record.ground_truth, smiles, mces_budget)
             truncated = truncated or not result.optimal
             mces_topk = min(mces_topk, result.dissimilarity)
             if rank == 0:

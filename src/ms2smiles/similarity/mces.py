@@ -16,36 +16,37 @@ the two meet.  In order, cheapest first:
    molecules' descending count sequences, paired off, bound twice the
    common edges at those atoms.
 2. Seeded lower bound.  Same-element atom pairs are ranked by the radius
-   (0-4) to which their circular environments agree.  From each of the
-   best ``_SEEDS`` pairs one element-preserving injective mapping is grown
-   along same-order bonds, then restarted from the next unmapped ranked
-   pair, and the A-bonds whose image is a same-order B-bond are counted.
-   The first seed that reaches the upper bound ends the call.
-3. Assignment upper bound, only for pairs still open.  A maximum-weight
-   matching per element, where an atom pair weighs the size of the
-   multiset intersection of its incident (neighbour element, order) labels,
-   bounds twice the common edges of any single mapping.
-4. Partition search, a McSplit branch and bound (McCreesh, Prosser &
-   Trimble, IJCAI 2017) over the two bond line graphs.  Mapping a bond also
-   maps its atoms, so every result is an injective, element-preserving atom
-   map (which rules out the triangle/star line-graph ambiguity).  It runs
-   from the lower bound and stops at the upper one.
+   (0-4) to which their circular environments agree.  Only the pairs that
+   agree at radius 1 are sorted; every other pair agrees at radius 0 alone
+   and follows in index order.  From each of the best ``_SEEDS`` pairs one
+   element-preserving injective mapping is grown along same-order bonds,
+   then restarted from the next unmapped ranked pair, and the A-bonds whose
+   image is a same-order B-bond are counted.  The first seed that reaches
+   the upper bound ends the call.
+3. Partition search, only for pairs still open: a McSplit branch and bound
+   (McCreesh, Prosser & Trimble, IJCAI 2017) over the two bond line graphs.
+   Mapping a bond also maps its atoms, so every result is an injective,
+   element-preserving atom map (which rules out the triangle/star
+   line-graph ambiguity).  It runs from the lower bound and stops at the
+   upper one.
 
-``optimal=True`` means the lower bound met an upper bound, or the search
-finished, so the count is the maximum.  A wall-clock budget bounds each
-call: seeding checks the deadline once per seed, the matching once per row
-and the search every 256 nodes.  On expiry the largest lower bound found so
-far is returned with ``optimal=False``: a lower bound on the common edge
-count, hence an upper bound on the dissimilarity.
+``optimal=True`` means the lower bound met the upper bound, or the search
+finished, so the count is the maximum.  ``nodes`` counts the search nodes
+expanded, 0 when no search ran.  A wall-clock budget, a positive number of
+seconds, bounds each call: seeding checks the deadline once per seed and
+the search every 256 nodes.  On expiry the largest lower bound found so far
+is returned with ``optimal=False``: a lower bound on the common edge count,
+hence an upper bound on the dissimilarity.
 
-Everything read from one molecule (labelled edges, per-atom counts,
-environment codes) is built once and cached on the ``Molecule``.
+Everything read from one molecule (labelled edges, per-atom bond masks and
+counts, environment codes) is built once and cached on the ``Molecule``.
 ``mces_floor`` gives the dissimilarity that the degree-sequence bound
 allows, a lower bound on any ``mces`` result, without any search.
 """
 
 from __future__ import annotations
 
+import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -63,6 +64,7 @@ class McesResult:
     common_edges: int
     dissimilarity: float
     optimal: bool
+    nodes: int = 0  # partition-search nodes expanded; 0 when no search ran
 
 
 class _Deadline(Exception):
@@ -77,15 +79,20 @@ class _Profile:
     labels: Counter  # multiset of edge labels
     elements: list[str]
     by_element: dict[str, list[int]]  # atom indices, ascending
+    by_env1: dict[tuple[str, int], list[int]]  # by (element, radius-1 code), ascending
     neighbors: list[list[tuple[int, int]]]  # (neighbour, order), by neighbour index
-    bonds_at: list[list[int]]  # indices into ``edges`` per atom
-    incident: list[tuple]  # sorted ((neighbour element, order), count) items
+    bond_mask: list[int]  # per atom, bit i set for each bond ``edges[i]`` at it
     degrees: dict[tuple, list[int]]  # (element, neighbour element, order) -> counts, descending
     env: list[tuple[int, ...]]  # environment codes at radius 0.._ENV_RADIUS
 
 
 def mces(a: Molecule, b: Molecule, budget: float = 1.0) -> McesResult:
-    """Largest label-compatible common edge subgraph of two molecules."""
+    """Largest label-compatible common edge subgraph of two molecules.
+
+    Raises ``ValueError`` unless ``budget`` is a positive number of seconds.
+    """
+    if not budget > 0:  # also rejects NaN, which no deadline comparison would reach
+        raise ValueError(f"MCES budget must be a positive number of seconds, got {budget}")
     a.require_perceived("MCES")
     b.require_perceived("MCES")
     n_ea, n_eb = a.n_bonds, b.n_bonds
@@ -108,8 +115,8 @@ def mces(a: Molecule, b: Molecule, budget: float = 1.0) -> McesResult:
     if n_ea == n_eb and canonical_smiles(a) == canonical_smiles(b):
         return McesResult(n_ea, 0.0, True)
 
-    def result(common: int, optimal: bool) -> McesResult:
-        return McesResult(common, _dissim(common, max_e), optimal)
+    def result(common: int, optimal: bool, nodes: int = 0) -> McesResult:
+        return McesResult(common, _dissim(common, max_e), optimal, nodes)
 
     upper = min(label_bound, _degree_sequence_bound(pa, pb))
     deadline = time.monotonic() + budget
@@ -120,17 +127,12 @@ def mces(a: Molecule, b: Molecule, budget: float = 1.0) -> McesResult:
     if expired:
         return result(best, False)
 
-    assignment = _assignment_bound(pa, pb, deadline)
-    if assignment is None:
-        return result(best, False)
-    upper = min(upper, assignment)
-    if best >= upper:
-        return result(best, True)
-
     try:
-        return result(_mcsplit(pa, pb, best, upper, deadline), True)
+        common, nodes = _mcsplit(pa, pb, best, upper, deadline)
     except _Deadline as exc:
-        return result(exc.args[0], False)
+        common, nodes = exc.args
+        return result(common, False, nodes)
+    return result(common, True, nodes)
 
 
 def mces_floor(a: Molecule, b: Molecule) -> float:
@@ -176,22 +178,18 @@ def _build_profile(mol: Molecule) -> _Profile:
     for i, element in enumerate(elements):
         by_element.setdefault(element, []).append(i)
     neighbors: list[list[tuple[int, int]]] = [[] for _ in elements]
-    bonds_at: list[list[int]] = [[] for _ in elements]
+    bond_mask = [0] * len(elements)
     for i, (u, v, (_, order)) in enumerate(edges):
         neighbors[u].append((v, order))
         neighbors[v].append((u, order))
-        bonds_at[u].append(i)
-        bonds_at[v].append(i)
+        bond_mask[u] |= 1 << i
+        bond_mask[v] |= 1 << i
     for row in neighbors:
         row.sort()
 
-    incident = []
-    signatures: dict[tuple, tuple] = {}  # one shared tuple per distinct signature
     degrees: dict[tuple, list[int]] = {}
     for i, row in enumerate(neighbors):
         counts = Counter((elements[j], order) for j, order in row)
-        signature = tuple(sorted(counts.items()))
-        incident.append(signatures.setdefault(signature, signature))
         for (element, order), count in counts.items():
             degrees.setdefault((elements[i], element, order), []).append(count)
     for counts in degrees.values():
@@ -208,15 +206,18 @@ def _build_profile(mol: Molecule) -> _Profile:
             hash((codes[i], tuple(sorted([(order, codes[j]) for j, order in row]))))
             for i, row in enumerate(neighbors)
         ])
+    by_env1: dict[tuple[str, int], list[int]] = {}
+    for i, element in enumerate(elements):
+        by_env1.setdefault((element, layers[1][i]), []).append(i)
 
     return _Profile(
         edges=edges,
         labels=Counter(map(_edge_label, edges)),
         elements=elements,
         by_element=by_element,
+        by_env1=by_env1,
         neighbors=neighbors,
-        bonds_at=bonds_at,
-        incident=incident,
+        bond_mask=bond_mask,
         degrees=degrees,
         env=list(zip(*layers)),
     )
@@ -239,6 +240,8 @@ def _degree_sequence_bound(pa: _Profile, pb: _Profile) -> int:
     return total // 2
 
 
+
+
 def _seeded_lower_bound(
     pa: _Profile, pb: _Profile, upper: int, deadline: float
 ) -> tuple[int, bool]:
@@ -246,6 +249,7 @@ def _seeded_lower_bound(
     env_a, env_b = pa.env, pb.env
     elem_a, elem_b = pa.elements, pb.elements
     nbrs_a, nbrs_b = pa.neighbors, pb.neighbors
+    by_element_b = pb.by_element
 
     def depth(u: int, v: int) -> int:
         d = 0
@@ -255,14 +259,25 @@ def _seeded_lower_bound(
             d += 1
         return d
 
-    ranked = sorted(
+    # Pairs that agree at radius 1 are ranked by depth.  Every other
+    # same-element pair has depth 1 and ranks after them in (u, v) order.
+    deep = sorted(
         [
             (-depth(u, v), u, v)
-            for element, atoms in pa.by_element.items()
+            for key, atoms in pa.by_env1.items()
+            for v in pb.by_env1.get(key, ())
             for u in atoms
-            for v in pb.by_element.get(element, ())
         ]
     )
+    seeds = [(u, v) for _, u, v in deep[:_SEEDS]]
+    if len(seeds) < _SEEDS:
+        shallow = (
+            (u, v)
+            for u, element in enumerate(elem_a)
+            for v in by_element_b.get(element, ())
+            if env_a[u][1] != env_b[v][1]
+        )
+        seeds += itertools.islice(shallow, _SEEDS - len(seeds))
 
     def grow(u0: int, v0: int) -> None:
         phi[u0] = v0
@@ -287,15 +302,23 @@ def _seeded_lower_bound(
                     queue.append(u2)
 
     best = 0
-    for _, u0, v0 in ranked[:_SEEDS]:
+    for u0, v0 in seeds:
         if time.monotonic() > deadline:
             return best, True
         phi = [-1] * len(elem_a)
         used = [False] * len(elem_b)
         grow(u0, v0)
-        for _, u, v in ranked:
+        for _, u, v in deep:
             if phi[u] < 0 and not used[v]:
                 grow(u, v)
+        # Every deep pair now has a mapped or used atom, so the next ranked
+        # pair for an unmapped u is its first unused same-element partner.
+        for u, element in enumerate(elem_a):
+            if phi[u] < 0:
+                for v in by_element_b.get(element, ()):
+                    if not used[v]:
+                        grow(u, v)
+                        break
         common = 0
         for u, v, (_, order) in pa.edges:
             x, y = phi[u], phi[v]
@@ -307,158 +330,100 @@ def _seeded_lower_bound(
     return best, False
 
 
-def _assignment_bound(pa: _Profile, pb: _Profile, deadline: float) -> int | None:
-    """Half the maximum-weight element-preserving atom matching, or None on timeout.
-
-    An atom pair weighs the size of the multiset intersection of its incident
-    (neighbour element, order) labels, which bounds the common edges at that
-    atom under any mapping that pairs the two.
-    """
-    overlap: dict[tuple, int] = {}
-    total = 0
-    for element, atoms_a in pa.by_element.items():
-        atoms_b = pb.by_element.get(element)
-        if not atoms_b:
-            continue
-        rows = [pa.incident[u] for u in atoms_a if pa.incident[u]]
-        cols = [pb.incident[v] for v in atoms_b if pb.incident[v]]
-        if len(rows) > len(cols):
-            rows, cols = cols, rows
-        weights = []
-        for x in rows:
-            row = []
-            for y in cols:
-                w = overlap.get((x, y))
-                if w is None:
-                    counts = dict(y)
-                    w = overlap[(x, y)] = sum(min(n, counts.get(key, 0)) for key, n in x)
-                row.append(w)
-            weights.append(row)
-        matched = _max_weight_matching(weights, deadline)
-        if matched is None:
-            return None
-        total += matched
-    return total // 2
+def _bits(mask: int):
+    """The set bits of ``mask``, lowest first, each as a one-bit int."""
+    while mask:
+        bit = mask & -mask
+        yield bit
+        mask ^= bit
 
 
-def _max_weight_matching(weights: list[list[int]], deadline: float) -> int | None:
-    """Hungarian method for a rectangular matrix with no more rows than columns.
-
-    Every row is matched; returns the largest total weight, or None when the
-    deadline passes (checked once per row).
-    """
-    n = len(weights)
-    if n == 0:
-        return 0
-    m = len(weights[0])
-    inf = float("inf")
-    # Potentials for the cost -weight; p[j] is the row matched to column j
-    # (1-based, 0 for none) and way[j] the previous column on its path.
-    pot_row = [0] * (n + 1)
-    pot_col = [0] * (m + 1)
-    p = [0] * (m + 1)
-    way = [0] * (m + 1)
-    for i in range(1, n + 1):
-        if time.monotonic() > deadline:
-            return None
-        p[0] = i
-        j0 = 0
-        minv = [inf] * (m + 1)
-        used = [False] * (m + 1)
-        while True:
-            used[j0] = True
-            i0 = p[j0]
-            row = weights[i0 - 1]
-            delta = inf
-            j1 = 0
-            for j in range(1, m + 1):
-                if not used[j]:
-                    cur = -row[j - 1] - pot_row[i0] - pot_col[j]
-                    if cur < minv[j]:
-                        minv[j] = cur
-                        way[j] = j0
-                    if minv[j] < delta:
-                        delta = minv[j]
-                        j1 = j
-            for j in range(m + 1):
-                if used[j]:
-                    pot_row[p[j]] += delta
-                    pot_col[j] -= delta
-                else:
-                    minv[j] -= delta
-            j0 = j1
-            if p[j0] == 0:
-                break
-        while j0:
-            j1 = way[j0]
-            p[j0] = p[j1]
-            j0 = j1
-    return sum(weights[p[j] - 1][j - 1] for j in range(1, m + 1) if p[j])
-
-
-def _mcsplit(pa: _Profile, pb: _Profile, lower: int, upper: int, deadline: float) -> int:
+def _mcsplit(
+    pa: _Profile, pb: _Profile, lower: int, upper: int, deadline: float
+) -> tuple[int, int]:
     """McSplit branch and bound over the bond line graphs.
 
     A class pairs the A-bonds and B-bonds that may still map to each other:
-    the same label, and ends that agree under the atom map so far.  An end's
-    token is -1 when free and its B-atom when fixed.  A homonuclear bond
-    mapped with both ends free gives its four atoms the token ``nb`` plus its
-    index, which leaves the orientation open until a neighbouring bond fixes
-    one end; the token then names the other pair.  Tokens only refine, so
-    the mapped count plus the sum over classes of min(|L|, |R|) bounds every
-    extension.  Returns the largest common edge count, at least ``lower``,
-    and stops at ``upper``; raises ``_Deadline(best)`` when the deadline,
-    read every 256 nodes, has passed.
+    the same label, and ends that agree under the atom map so far.  A class
+    is (A-mask, B-mask, |A|, |B|), each mask a set of bond indices.  An
+    end's token is -1 when free and its B-atom when fixed.  A homonuclear
+    bond mapped with both ends free gives its four atoms the token ``nb``
+    plus its index, which leaves the orientation open until a neighbouring
+    bond fixes one end; the token then names the other pair.  Tokens only
+    refine, so the mapped count plus the sum over classes of min(|A|, |B|)
+    bounds every extension.  Mapping a bond changes the tokens of at most
+    four atoms, so only the classes holding a bond at one of them split.
+
+    Branching takes the class with the smallest larger side, from it the
+    lowest-indexed bond v of highest line-graph degree, maps v to each
+    partner in ascending index, then leaves v unmapped.  Returns the
+    largest common edge count, at least ``lower``, and the nodes expanded;
+    stops at ``upper``.  Raises ``_Deadline(best, nodes)`` when the
+    deadline, read every 256 nodes, has passed.
     """
     edges_a, edges_b = pa.edges, pb.edges
-    at_a, at_b = pa.bonds_at, pb.bonds_at
+    mask_a, mask_b = pa.bond_mask, pb.bond_mask
     nb = len(pb.elements)
-    degree = [len(at_a[u]) + len(at_a[v]) - 2 for u, v, _ in edges_a]
+    by_degree: dict[int, int] = {}
+    for i, (u, v, _) in enumerate(edges_a):
+        d = mask_a[u].bit_count() + mask_a[v].bit_count() - 2
+        by_degree[d] = by_degree.get(d, 0) | 1 << i
+    degree_masks = [by_degree[d] for d in sorted(by_degree, reverse=True)]
+    ends_a = [(s, t, e1 == e2) for s, t, ((e1, e2), _) in edges_a]
+    ends_b = [(s, t, e1 == e2) for s, t, ((e1, e2), _) in edges_b]
     best = lower
     nodes = 0
 
-    def key(edge: tuple, tok: list[int]) -> tuple[int, int]:
-        s, t, ((e1, e2), _) = edge
-        x, y = tok[s], tok[t]
-        return (y, x) if e1 == e2 and x > y else (x, y)
-
-    def split(classes, ci, v, w, tok_a, tok_b, hit_a, hit_b) -> tuple[list, int, int]:
-        """The classes after mapping v to w, the bonds that map for free, and
-        the sum of min(|L|, |R|).  ``hit_a`` and ``hit_b`` hold the bonds whose
-        key changed; only their classes split."""
+    def split(classes: list, tok_a: list[int], tok_b: list[int], hit_a: int, hit_b: int):
+        """The classes after a mapping that re-tokened the atoms whose bonds
+        are ``hit_a`` and ``hit_b``, the bonds that map for free, and the sum
+        of min(|A|, |B|).  Every class passed in has both sides non-empty."""
         out = []
         free = bound = 0
-        for i, (left, right) in enumerate(classes):
-            if i == ci:
-                left = [x for x in left if x != v]
-                right = [y for y in right if y != w]
-            if hit_a.isdisjoint(left) and hit_b.isdisjoint(right):
-                if left and right:
-                    out.append((left, right))
-                    bound += min(len(left), len(right))
+        for cls in classes:
+            left, right, n_left, n_right = cls
+            moved_left, moved_right = left & hit_a, right & hit_b
+            if not (moved_left or moved_right):
+                out.append(cls)
+                bound += n_left if n_left < n_right else n_right
                 continue
-            keep_left: list[int] = []
-            keep_right: list[int] = []
-            # Unchanged bonds keep their class; no changed key is (-1, -1).
-            groups = {(-1, -1): (keep_left, keep_right)}
-            for x in left:
-                if x in hit_a:
-                    groups.setdefault(key(edges_a[x], tok_a), ([], []))[0].append(x)
-                else:
-                    keep_left.append(x)
-            for y in right:
-                if y not in hit_b:
-                    keep_right.append(y)
-                elif (group := groups.get(key(edges_b[y], tok_b))) is not None:
-                    group[1].append(y)
-            for (x, y), (group_left, group_right) in groups.items():
-                if not (group_left and group_right):
+            # Unchanged bonds keep their class, first; no changed key is (-1, -1).
+            keep_left, keep_right = left ^ moved_left, right ^ moved_right
+            if keep_left and keep_right:
+                n_left -= moved_left.bit_count()
+                n_right -= moved_right.bit_count()
+                out.append((keep_left, keep_right, n_left, n_right))
+                bound += n_left if n_left < n_right else n_right
+            # The changed bonds group by the tokens at their ends, sorted for
+            # a homonuclear bond, whose ends are interchangeable.
+            groups: dict[tuple[int, int], int] = {}
+            while moved_left:
+                bit = moved_left & -moved_left
+                moved_left ^= bit
+                s, t, homo = ends_a[bit.bit_length() - 1]
+                x, y = tok_a[s], tok_a[t]
+                k = (y, x) if homo and x > y else (x, y)
+                groups[k] = groups.get(k, 0) | bit
+            partners: dict[tuple[int, int], int] = {}
+            while moved_right:
+                bit = moved_right & -moved_right
+                moved_right ^= bit
+                s, t, homo = ends_b[bit.bit_length() - 1]
+                x, y = tok_b[s], tok_b[t]
+                k = (y, x) if homo and x > y else (x, y)
+                if k in groups:
+                    partners[k] = partners.get(k, 0) | bit
+            for k, group_left in groups.items():
+                group_right = partners.get(k)
+                if group_right is None:
                     continue
+                x, y = k
                 if 0 <= x < nb and 0 <= y < nb:
                     free += 1  # both ends fixed: the image bond is the only match
                 else:
-                    out.append((group_left, group_right))
-                    bound += min(len(group_left), len(group_right))
+                    n_left, n_right = group_left.bit_count(), group_right.bit_count()
+                    out.append((group_left, group_right, n_left, n_right))
+                    bound += n_left if n_left < n_right else n_right
         return out, free, bound
 
     def search(classes: list, tok_a: list[int], tok_b: list[int], count: int, bound: int):
@@ -466,53 +431,67 @@ def _mcsplit(pa: _Profile, pb: _Profile, lower: int, upper: int, deadline: float
         loop below, so depth (one level per A-bond) escapes the recursion limit."""
         nonlocal best, nodes
         if nodes & 255 == 0 and time.monotonic() > deadline:
-            raise _Deadline(best)
+            raise _Deadline(best, nodes)
         nodes += 1
         best = max(best, count)
         if best >= upper or not classes:
             return
-        ci = min(range(len(classes)), key=lambda i: max(map(len, classes[i])))
-        left, right = classes[ci]
-        v = max(left, key=degree.__getitem__)
+        ci, size = 0, len(edges_a) + 1
+        for i, (_, _, n_left, n_right) in enumerate(classes):
+            larger = n_left if n_left > n_right else n_right
+            if larger < size:
+                ci, size = i, larger
+        left, right, n_left, n_right = classes[ci]
+        before, after = classes[:ci], classes[ci + 1:]
+        for mask in degree_masks:
+            top = left & mask
+            if top:
+                break
+        bit_v = top & -top
+        v = bit_v.bit_length() - 1
         s, t, ((e1, e2), _) = edges_a[v]
-        for w in right:
-            s2, t2, _ = edges_b[w]
+        rest = left ^ bit_v
+        for bit_w in _bits(right):
+            s2, t2, _ = edges_b[bit_w.bit_length() - 1]
             child_a, child_b = tok_a[:], tok_b[:]
             if e1 == e2 and tok_a[s] == tok_a[t] == -1:
                 child_a[s] = child_a[t] = child_b[s2] = child_b[t2] = nb + v
-                hit_a, hit_b = [s, t], [s2, t2]
+                hit_a, hit_b = mask_a[s] | mask_a[t], mask_b[s2] | mask_b[t2]
             else:
                 if e1 == e2 and tok_a[s] != tok_b[s2]:
                     s2, t2 = t2, s2
-                hit_a, hit_b = [], []
+                hit_a = hit_b = 0
                 for x, y in ((s, s2), (t, t2)):
                     if not 0 <= tok_a[x] < nb:
                         child_a[x] = child_b[y] = y
-                        hit_a.append(x)
-                        hit_b.append(y)
+                        hit_a |= mask_a[x]
+                        hit_b |= mask_b[y]
+            kept = [(rest, right ^ bit_w, n_left - 1, n_right - 1)] if rest and right != bit_w else []
             children, free, child_bound = split(
-                classes, ci, v, w, child_a, child_b,
-                {e for u in hit_a for e in at_a[u]}, {e for u in hit_b for e in at_b[u]},
+                before + kept + after, child_a, child_b, hit_a, hit_b
             )
             if count + 1 + free + child_bound > best:
                 yield children, child_a, child_b, count + 1 + free, child_bound
             if best >= upper:
                 return
         # Leave v unmapped: its class loses one A-bond.
-        rest = [x for x in left if x != v]
-        bound -= len(left) <= len(right)
+        bound -= n_left <= n_right
         if count + bound > best:
-            children = classes[:ci] + ([(rest, right)] if rest else []) + classes[ci + 1:]
-            yield children, tok_a, tok_b, count, bound
+            kept = [(rest, right, n_left - 1, n_right)] if rest else []
+            yield before + kept + after, tok_a, tok_b, count, bound
 
-    by_label: dict[tuple, tuple[list, list]] = {}
+    by_label: dict[tuple, list[int]] = {}
     for i, (_, _, label) in enumerate(edges_a):
-        by_label.setdefault(label, ([], []))[0].append(i)
+        by_label.setdefault(label, [0, 0])[0] |= 1 << i
     for j, (_, _, label) in enumerate(edges_b):
         if label in by_label:
-            by_label[label][1].append(j)
-    classes = [group for group in by_label.values() if group[1]]
-    bound = sum(min(len(left), len(right)) for left, right in classes)
+            by_label[label][1] |= 1 << j
+    classes = [
+        (left, right, left.bit_count(), right.bit_count())
+        for left, right in by_label.values()
+        if right
+    ]
+    bound = sum(min(n_left, n_right) for _, _, n_left, n_right in classes)
     stack = [search(classes, [-1] * len(pa.elements), [-1] * nb, 0, bound)]
     while stack:
         child = next(stack[-1], None)
@@ -520,4 +499,4 @@ def _mcsplit(pa: _Profile, pb: _Profile, lower: int, upper: int, deadline: float
             stack.pop()
         else:
             stack.append(search(*child))
-    return best
+    return best, nodes

@@ -153,6 +153,9 @@ def test_mces_subcommand(capsys):
     assert "dissimilarity: 0.000000" in out
     assert main(["mces", "CCO", "CCC"]) == 0
     assert "dissimilarity: 0.500000" in capsys.readouterr().out
+    assert main(["mces", "CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1", "CCCCCCCCCc1ccc(O)cc1"]) == 0
+    out = capsys.readouterr().out
+    assert "common_edges: 13\n" in out and "optimal: true\n" in out and "nodes: 3210\n" in out
 
 
 def test_mces_subcommand_rejects_bad_smiles(capsys):
@@ -256,6 +259,17 @@ def test_k_below_one_is_usage_error(tmp_path, capsys, k):
     config = tmp_path / "bad.conf"
     config.write_text(f"dataset = {FIXTURE}\nk = {k}\n", encoding="utf-8")
     assert main(["evaluate", "--config", str(config), "--run-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+def test_bad_mces_budget_is_usage_error(tmp_path, capsys, budget):
+    assert main(["evaluate", "--dataset", FIXTURE, "--run-dir", str(tmp_path), "--mces-budget", budget]) == 2
+    assert "mces_budget must be a positive number of seconds" in capsys.readouterr().err
+    config = tmp_path / "bad.conf"
+    config.write_text(f"dataset = {FIXTURE}\nmces_budget = {budget}\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(config), "--run-dir", str(tmp_path)]) == 2
+    assert main(["mces", "CCOC(=O)C", "CCOC(=O)CC", "--mces-budget", budget]) == 2
+    assert "positive number of seconds" in capsys.readouterr().err
 
 
 def test_unknown_split_is_usage_error(tmp_path, capsys):

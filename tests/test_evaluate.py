@@ -15,11 +15,12 @@ from ms2smiles.evaluate import (
     evaluate_one,
     evaluate_records,
     fingerprint,
+    pair_mces,
     prepare,
     score_spectrum,
 )
 from ms2smiles.protocol import ParsedResponse, parse_response
-from ms2smiles.similarity import mces, morgan_fingerprint
+from ms2smiles.similarity import mces, mces_floor, morgan_fingerprint
 
 
 def make_record(smiles="CC(C)(C)N", formula=None, rid="r1"):
@@ -317,6 +318,35 @@ def test_cold_and_warm_memo_score_alike():
     assert warm == cold
     assert cold[0].exact_topk and cold[0].n_valid == 3
     assert cold[1].formula_claim_correct and cold[1].dbe_claim_correct
+
+
+def test_pair_memo_searches_each_pair_once(monkeypatch):
+    searched = []
+    search = evaluate_module.mces
+
+    def counted(a, b, budget):
+        searched.append((canonical_smiles(a), canonical_smiles(b)))
+        return search(a, b, budget=budget)
+
+    truth, twice, other = "CCCCCCCCCc1ccc(O)cc1", "CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1", "CCCc1ccc(N)cc1"
+    gt, dup = mol_from_smiles(truth), mol_from_smiles(twice)
+    # The duplicate at rank 1 gets past the floor screen, so it reaches the memo.
+    assert mces_floor(gt, dup) < mces(gt, dup).dissimilarity
+    records = [make_record(truth, rid=rid) for rid in ("a", "b")]
+    transcripts = {"a": f"<answer>{twice}, {twice}</answer>", "b": f"<answer>{twice}, {other}</answer>"}
+
+    monkeypatch.setattr(evaluate_module, "mces", counted)
+    pair_mces.cache_clear()
+    memoized = evaluate_records(records, transcripts)
+    # Without the memo (truth, twice) would be searched three times.
+    assert searched.count((canonical_smiles(gt), canonical_smiles(dup))) == 1
+    assert len(searched) == len(set(searched))
+
+    fresh = []
+    for record in records:
+        pair_mces.cache_clear()
+        fresh.append(evaluate_one(record, transcripts[record.id]))
+    assert memoized == ([m for m, _ in fresh], [a for _, a in fresh])
 
 
 def test_memoized_failures_stay_failures():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import importlib
 import itertools
 import math
@@ -17,7 +18,7 @@ from ms2smiles.chem import mol_from_smiles
 from ms2smiles.chem.mol import Molecule
 from ms2smiles.similarity import mces, mces_floor
 
-from oracles import brute_force_mces
+from oracles import brute_force_mces, seeded_lower_bound_all_pairs
 
 mces_module = importlib.import_module("ms2smiles.similarity.mces")
 
@@ -138,7 +139,7 @@ def test_deadline_in_search_returns_best_lower_bound(monkeypatch):
     b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
     pa, pb = mces_module._profile(a), mces_module._profile(b)
     seeded, _ = mces_module._seeded_lower_bound(pa, pb, a.n_bonds, math.inf)
-    assert seeded < mces_module._assignment_bound(pa, pb, math.inf)
+    assert seeded < mces_module._degree_sequence_bound(pa, pb)
 
     clock = FakeClock()
     search = mces_module._mcsplit
@@ -157,15 +158,14 @@ def test_deadline_in_search_returns_best_lower_bound(monkeypatch):
     assert result == mces_module.McesResult(seeded, 1 - seeded / a.n_bonds, False)
 
 
-def _bound_chain(a, b) -> tuple[int, int, int, int]:
-    """Seeded lower bound and the three upper bounds, tightest first."""
+def _bound_chain(a, b) -> tuple[int, int, int]:
+    """Seeded lower bound and the two upper bounds, tightest first."""
     pa, pb = mces_module._profile(a), mces_module._profile(b)
     no_cap = a.n_bonds + b.n_bonds + 1
     seeded, expired = mces_module._seeded_lower_bound(pa, pb, no_cap, math.inf)
     assert not expired
     return (
         seeded,
-        mces_module._assignment_bound(pa, pb, math.inf),
         mces_module._degree_sequence_bound(pa, pb),
         mces_module._label_multiset_bound(pa, pb),
     )
@@ -180,9 +180,9 @@ def test_bounds_bracket_the_oracle(corpus):
     pairs += list(itertools.combinations(special, 2))
     for sa, sb in pairs:
         a, b = mol_from_smiles(sa), mol_from_smiles(sb)
-        seeded, assignment, degree, label = _bound_chain(a, b)
+        seeded, degree, label = _bound_chain(a, b)
         exact = brute_force_mces(a, b)
-        assert seeded <= exact <= assignment <= degree <= label, (sa, sb)
+        assert seeded <= exact <= degree <= label, (sa, sb)
         result = mces(a, b, budget=10.0)
         assert result.optimal and result.common_edges == exact
         assert mces_floor(a, b) <= result.dissimilarity
@@ -204,21 +204,8 @@ def test_search_equals_the_oracle(corpus):
     for sa, sb in pairs:
         a, b = mol_from_smiles(sa), mol_from_smiles(sb)
         pa, pb = mces_module._profile(a), mces_module._profile(b)
-        found = mces_module._mcsplit(pa, pb, 0, a.n_bonds + b.n_bonds, math.inf)
+        found, _ = mces_module._mcsplit(pa, pb, 0, a.n_bonds + b.n_bonds, math.inf)
         assert found == brute_force_mces(a, b), (sa, sb)
-
-
-def test_matching_equals_exhaustive_assignment():
-    rng = random.Random(31)
-    for _ in range(150):
-        n = rng.randint(0, 5)
-        m = rng.randint(max(n, 1), 6)
-        weights = [[rng.randint(0, 4) for _ in range(m)] for _ in range(n)]
-        best = max(
-            sum(weights[i][j] for i, j in enumerate(cols))
-            for cols in itertools.permutations(range(m), n)
-        )
-        assert mces_module._max_weight_matching(weights, math.inf) == best
 
 
 STEROID_ANALOG = (
@@ -235,15 +222,21 @@ PEPTIDE_ANALOG = (
 
 @pytest.mark.parametrize(("pair", "common"), [(STEROID_ANALOG, 55), (PEPTIDE_ANALOG, 58)])
 def test_large_analogs_are_certified_without_search(monkeypatch, pair, common):
+    # Seeding meets the degree-sequence bound on the peptide pair.  On the
+    # steroid pair it stops one edge short and a short search proves 55.
+    seeded_to_the_bound = pair == PEPTIDE_ANALOG
+
     def no_search(*args):
         raise AssertionError("the partition search ran")
 
-    monkeypatch.setattr(mces_module, "_mcsplit", no_search)
+    if seeded_to_the_bound:
+        monkeypatch.setattr(mces_module, "_mcsplit", no_search)
     a, b = (mol_from_smiles(s) for s in pair)
     result = mces(a, b)
     assert result.optimal
     assert result.common_edges == common
     assert result.dissimilarity == 1 - common / max(a.n_bonds, b.n_bonds)
+    assert (result.nodes == 0) == seeded_to_the_bound
 
 
 def test_deadline_in_seeding_stops_before_the_product(monkeypatch):
@@ -269,57 +262,26 @@ def test_deadline_in_seeding_stops_before_the_product(monkeypatch):
     assert clock.readings == 3
 
 
-def test_matching_checks_the_deadline_once_per_row(monkeypatch):
-    weights = [[(i * j) % 3 for j in range(6)] for i in range(5)]
-    clock = FakeClock(step=1.0)
-    monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
-    # Rows 1-4 read 0, 1, 2 and 3 seconds.
-    assert mces_module._max_weight_matching(weights, deadline=2.5) is None
-    assert clock.readings == 4
-    assert mces_module._max_weight_matching(weights, deadline=100.0) is not None
-
-
-def test_deadline_in_matching_returns_best_lower_bound(monkeypatch):
-    a = mol_from_smiles("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1")
-    b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
-    pa, pb = mces_module._profile(a), mces_module._profile(b)
-    seeded, _ = mces_module._seeded_lower_bound(pa, pb, a.n_bonds, math.inf)
-
-    clock = FakeClock()
-    assignment = mces_module._assignment_bound
-
-    def assignment_past_the_deadline(pa, pb, deadline):
-        clock.now = deadline + 1.0
-        return assignment(pa, pb, deadline)
-
-    def no_search(*args):
-        raise AssertionError("the search ran after the deadline")
-
-    monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
-    monkeypatch.setattr(mces_module, "_assignment_bound", assignment_past_the_deadline)
-    monkeypatch.setattr(mces_module, "_mcsplit", no_search)
-    result = mces(a, b, budget=1.0)
-    assert result == mces_module.McesResult(seeded, 1 - seeded / a.n_bonds, False)
-
-
 def test_search_reads_the_clock_every_256_nodes(monkeypatch):
     a = mol_from_smiles("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1")
     b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
     pa, pb = mces_module._profile(a), mces_module._profile(b)
     seeded, _ = mces_module._seeded_lower_bound(pa, pb, a.n_bonds, math.inf)
-    upper = mces_module._assignment_bound(pa, pb, math.inf)
+    upper = mces_module._degree_sequence_bound(pa, pb)
     clock = FakeClock()
     monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
-    full = mces_module._mcsplit(pa, pb, seeded, upper, math.inf)
+    full, full_nodes = mces_module._mcsplit(pa, pb, seeded, upper, math.inf)
     assert clock.readings > 4 and full < upper  # the whole search reads the clock more often
+    assert full_nodes > 768
 
     # Readings at nodes 0, 256, 512 and 768 return 0, 1, 2 and 3 seconds.
     clock.now, clock.step, clock.readings = 0.0, 1.0, 0
     with pytest.raises(mces_module._Deadline) as stopped:
         mces_module._mcsplit(pa, pb, seeded, upper, 2.5)
     assert clock.readings == 4
-    found = stopped.value.args[0]
+    found, nodes = stopped.value.args
     assert seeded <= found <= full
+    assert nodes == 768
 
     # Through ``mces``: the bounds read 0 s, then the search reads as above.
     search = mces_module._mcsplit
@@ -330,7 +292,7 @@ def test_search_reads_the_clock_every_256_nodes(monkeypatch):
 
     clock.now, clock.step = 0.0, 0.0
     monkeypatch.setattr(mces_module, "_mcsplit", search_on_a_ticking_clock)
-    assert mces(a, b, budget=2.5) == mces_module.McesResult(found, 1 - found / a.n_bonds, False)
+    assert mces(a, b, budget=2.5) == mces_module.McesResult(found, 1 - found / a.n_bonds, False, 768)
     assert clock.readings == 4
 
 
@@ -346,12 +308,18 @@ GLYCOSIDE_VS_STEROID = (
 )
 
 
+# Nodes the partition search expands on each decoy pair.  The counts pin the
+# branching order: a faster search must visit the same tree.
+DECOY_NODES = {LIPID_VS_GLYCOSIDE: 10_002, GLYCOSIDE_VS_STEROID: 2_367}
+
+
 @pytest.mark.parametrize(("pair", "common"), [(LIPID_VS_GLYCOSIDE, 18), (GLYCOSIDE_VS_STEROID, 22)])
 def test_decoy_pairs_are_certified(pair, common):
     a, b = (mol_from_smiles(s) for s in pair)
     result = mces(a, b, budget=30.0)
     assert result.optimal
     assert result.common_edges == common
+    assert result.nodes == DECOY_NODES[pair]
 
 
 _SEEDING_SCRIPT = """
@@ -385,3 +353,43 @@ def test_seeding_does_not_depend_on_the_hash_seed(corpus):
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1]
     assert len(outputs[0].splitlines()) == len(smiles) // 2
+
+
+@pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0])
+def test_budget_must_be_positive(budget):
+    a, b = mol_from_smiles("CCOC(=O)C"), mol_from_smiles("CCOC(=O)CC")
+    with pytest.raises(ValueError, match="positive number of seconds"):
+        mces(a, b, budget=budget)
+
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
+
+
+def test_reference_pairs_keep_their_certified_values():
+    with open(BENCH_DATA / "pairs.tsv", newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.DictReader(fh, delimiter="\t") if row["optimal"] == "1"]
+    assert len(rows) == 2357
+    mols: dict[str, Molecule] = {}
+    for row in rows:
+        for smiles in (row["ground_truth"], row["candidate"]):
+            if smiles not in mols:
+                mols[smiles] = mol_from_smiles(smiles)
+        result = mces(mols[row["ground_truth"]], mols[row["candidate"]], budget=10.0)
+        assert result.optimal, row
+        assert result.dissimilarity == float(row["mces"]), row
+
+
+def _library_pairs() -> list[tuple[str, str]]:
+    with open(BENCH_DATA / "large_library.tsv", newline="", encoding="utf-8") as fh:
+        return [(row["ground_truth"], row["candidate"]) for row in csv.DictReader(fh, delimiter="\t")]
+
+
+def test_seeding_equals_the_all_pairs_ranking(corpus):
+    rng = random.Random(43)
+    pairs = [(rng.choice(corpus), rng.choice(corpus)) for _ in range(150)]
+    pairs += _library_pairs()  # both analog and all four decoy pairs among them
+    for sa, sb in pairs:
+        pa, pb = (mces_module._profile(mol_from_smiles(s)) for s in (sa, sb))
+        for upper in (10**6, mces_module._degree_sequence_bound(pa, pb)):
+            expected = seeded_lower_bound_all_pairs(pa, pb, upper, mces_module._SEEDS)
+            assert mces_module._seeded_lower_bound(pa, pb, upper, math.inf) == (expected, False), (sa, sb)
