@@ -1,6 +1,6 @@
 """Self-contained cheminformatics kernel: SMILES in, measurements out."""
 
-from .canon import canonical_smiles, molecules_equal, normalized_bond_label, write_smiles
+from .canon import canonical_smiles, molecules_equal, normalized_bond_label, same_structure, write_smiles
 from .errors import (
     BadBracketAtom,
     BadFormulaSyntax,
@@ -50,5 +50,6 @@ __all__ = [
     "parse_formula",
     "parse_smiles",
     "perceive",
+    "same_structure",
     "write_smiles",
 ]

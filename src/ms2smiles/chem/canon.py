@@ -30,25 +30,37 @@ def stable_hash(*parts: Hashable) -> int:
 
 def refine_ranks(
     seeds: Sequence[Hashable],
-    adjacency: Sequence[Sequence[tuple[Hashable, int]]],
+    adjacency: Sequence[Sequence[tuple[int, int]]],
 ) -> tuple[list[int], list[int]]:
     """Iteratively refine atom invariants until the partition stabilizes.
 
-    ``adjacency[i]`` lists ``(bond_label, neighbor)`` pairs.  Returns dense
-    ranks plus the final per-atom keys; keys are comparable across molecules.
+    ``adjacency[i]`` lists ``(bond_label, neighbor)`` pairs with int labels.
+    Returns dense ranks plus the final per-atom keys; keys are comparable
+    across molecules.
+
+    Each distinct seed, and in each round each distinct ``("refine", key,
+    sorted neighbourhood)`` tuple, is hashed once; seeds that compare equal
+    must therefore have equal reprs.  The round that only confirms stability
+    hashes nothing: the partition is stable when its distinct tuples are as
+    many as the current classes.
     """
-    keys = [stable_hash("seed", seed) for seed in seeds]
+
+    def keys_of(parts: list[tuple]) -> list[int]:
+        hashes = {part: stable_hash(*part) for part in set(parts)}
+        return [hashes[part] for part in parts]
+
+    keys = keys_of([("seed", seed) for seed in seeds])
     n_classes = len(set(keys))
     while True:
-        new_keys = [
-            stable_hash("refine", keys[i], tuple(sorted((label, keys[j]) for label, j in adjacency[i])))
-            for i in range(len(seeds))
+        parts = [
+            ("refine", keys[i], tuple(sorted([(label, keys[j]) for label, j in adjacency[i]])))
+            for i in range(len(keys))
         ]
-        new_n = len(set(new_keys))
-        if new_n == n_classes:
+        n_distinct = len(set(parts))
+        if n_distinct == n_classes:
             break
-        keys = new_keys
-        n_classes = new_n
+        keys = keys_of(parts)
+        n_classes = n_distinct
     order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
     return [order[k] for k in keys], keys
 
@@ -83,7 +95,10 @@ def _atom_seed(mol: Molecule, i: int) -> tuple:
 
 
 def _discrete_ranks(
-    seeds: list, adjacency: list[list[tuple[int, int]]], component: list[int], start: int
+    seeds: list,
+    adjacency: list[list[tuple[int, int]]],
+    component: list[int],
+    start: int,
 ) -> list[int]:
     """Refine to a fully discrete partition on one component.
 
@@ -289,6 +304,31 @@ def _equality_label(mol: Molecule, i: int) -> tuple:
     return (atom.element, atom.charge, atom.isotope or 0, mol.hydrogens[i])
 
 
+def _equality_labels(mol: Molecule) -> list[tuple]:
+    return [_equality_label(mol, i) for i in range(mol.n_atoms)]
+
+
+def same_structure(a: Molecule, b: Molecule, canonical=canonical_smiles) -> bool:
+    """Whether ``a`` and ``b`` have equal canonical SMILES, canonicalizing
+    only when needed.
+
+    The same object is the same structure.  Otherwise only molecules with
+    equal atom and bond counts and equal sorted (element, charge, isotope,
+    total H) atom labels can be, since the canonical string determines these;
+    none of them reads a bond order, so Kekule patterns cannot split a pair.
+    Only those pairs are canonicalized, through ``canonical``: callers pass
+    their own module's ``canonical_smiles`` binding, the one that
+    ``bench/tracing.py`` wraps.
+    """
+    if a is b:
+        return True
+    if a.n_atoms != b.n_atoms or a.n_bonds != b.n_bonds:
+        return False
+    if sorted(_equality_labels(a)) != sorted(_equality_labels(b)):
+        return False
+    return canonical(a) == canonical(b)
+
+
 def molecules_equal(a: Molecule, b: Molecule) -> bool:
     """Labeled-graph isomorphism on (element, charge, isotope, total H) atoms
     and normalized bond labels.  Independent of the canonical writer, so it
@@ -298,8 +338,8 @@ def molecules_equal(a: Molecule, b: Molecule) -> bool:
     b.require_perceived("equality")
     if a.n_atoms != b.n_atoms or a.n_bonds != b.n_bonds:
         return False
-    labels_a = [_equality_label(a, i) for i in range(a.n_atoms)]
-    labels_b = [_equality_label(b, i) for i in range(b.n_atoms)]
+    labels_a = _equality_labels(a)
+    labels_b = _equality_labels(b)
     if sorted(labels_a) != sorted(labels_b):
         return False
 

@@ -1,8 +1,16 @@
-"""Benchmark dataset ingestion and molecular-weight binning.
+"""Benchmark dataset ingestion, the per-process molecule memo, and
+molecular-weight binning.
 
 Input is either a TSV with a header row or JSON-lines, auto-detected by
 extension.  Rows that fail validation are skipped and tallied; the loader
 never raises on a bad row, only on an unusable file.
+
+Every SMILES the package scores goes through ``prepare``: a per-process LRU
+memo of ``MEMO_SIZE`` entries that parses, perceives and measures a string
+(an invalid one is memoized as None).  ``load_dataset`` validates the ground
+truths through it, so ``evaluate`` scores them without parsing them again,
+and pool workers forked after the load inherit them.  Past ``MEMO_SIZE``
+unique SMILES the earliest are evicted and parsed again when scored.
 """
 
 from __future__ import annotations
@@ -10,12 +18,16 @@ from __future__ import annotations
 import csv
 import json
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
 
-from .chem import ChemError, mol_from_smiles, monoisotopic_mass, parse_formula
+from .chem import ChemError, dbe, mol_from_smiles, molecular_formula, monoisotopic_mass, parse_formula
 from .chem.formula import ElementCounts
+from .chem.mol import Molecule
 
 SPLITS = ("train", "val", "test")
+
+MEMO_SIZE = 2048  # entries per memo and process; ~20 KiB per prepared molecule for bench/data/large_library.tsv
 
 WEIGHT_BIN_EDGES = (200.0, 400.0, 600.0, 800.0)
 WEIGHT_BIN_LABELS = ("[0,200)", "[200,400)", "[400,600)", "[600,800)", "[800,inf)")
@@ -52,6 +64,26 @@ class NoValidRows(DatasetError):
 
 class AllZeroIntensities(ValueError):
     pass
+
+
+@dataclass(frozen=True)
+class PreparedMol:
+    """A perceived molecule and its formula and DBE, shared through ``prepare``: read-only."""
+
+    mol: Molecule
+    formula: ElementCounts
+    dbe: float
+
+
+@lru_cache(maxsize=MEMO_SIZE)
+def prepare(smiles: str) -> PreparedMol | None:
+    """Parse, perceive and measure ``smiles``, memoized per process; None if invalid."""
+    try:
+        mol = mol_from_smiles(smiles)
+    except ChemError:
+        return None
+    formula = molecular_formula(mol)
+    return PreparedMol(mol, formula, dbe(formula))
 
 
 @dataclass(frozen=True)
@@ -132,7 +164,7 @@ def _parse_number_list(value) -> list[float]:
     return [float(p) for p in parts]
 
 
-def _build_record(label: str, fields: dict, skipped: list, valid: set[str]) -> SpectrumRecord | None:
+def _build_record(label: str, fields: dict, skipped: list) -> SpectrumRecord | None:
     def skip(reason: str) -> None:
         skipped.append((label, reason))
 
@@ -162,13 +194,9 @@ def _build_record(label: str, fields: dict, skipped: list, valid: set[str]) -> S
         return None
 
     smiles = str(fields.get("smiles", "")).strip()
-    if smiles not in valid:
-        try:
-            mol_from_smiles(smiles)
-        except ChemError:
-            skip("BadGroundTruth")
-            return None
-        valid.add(smiles)
+    if prepare(smiles) is None:
+        skip("BadGroundTruth")
+        return None
 
     try:
         formula = parse_formula(str(fields.get("precursor_formula", "")))
@@ -243,6 +271,9 @@ def _iter_jsonl(path: Path):
 def load_dataset(path: str, split: str | None = None) -> LoadResult:
     """Load and validate records; invalid rows are tallied, not fatal.
 
+    Each ground truth is validated through ``prepare``, so it is parsed once
+    however many spectra share it, and scoring reuses the result while it
+    stays in the memo.
     ``split`` filters the returned records after validation.
     """
     p = Path(path)
@@ -253,7 +284,6 @@ def load_dataset(path: str, split: str | None = None) -> LoadResult:
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
-    valid: set[str] = set()  # ground truths repeat across spectra; parse each once
     for label, payload in rows:
         result.n_rows += 1
         if jsonl:
@@ -267,7 +297,7 @@ def load_dataset(path: str, split: str | None = None) -> LoadResult:
                 continue
         else:
             raw = payload
-        record = _build_record(label, _canonical_fields(raw), result.skipped, valid)
+        record = _build_record(label, _canonical_fields(raw), result.skipped)
         if record is not None:
             result.records.append(record)
 

@@ -6,7 +6,10 @@ Scoring for one spectrum:
 * formula consistency / DBE correctness: judged on the highest-ranked valid
   candidate, false when no candidate is valid;
 * exact match: canonical-SMILES equality against any of the first k
-  candidates (top-1 restricts to the first);
+  candidates (top-1 restricts to the first).  ``chem.canon.same_structure``
+  decides it: a candidate spelled like the ground truth is the memoized
+  ground-truth molecule and matches at once, and only a candidate with the
+  ground truth's atom labels is canonicalized;
 * Tanimoto: maximum over the valid candidates among the first k, 0.0 when
   none are valid;
 * MCES: minimum dissimilarity over the same set, 1.0 when none are valid.
@@ -25,14 +28,15 @@ searching every candidate, and ``mces_truncated`` flags a truncated search
 among those that ran.  ``k`` below 1 is rejected.
 
 Ground truths and candidates repeat across records and runs, so every SMILES
-goes through ``prepare``: a bounded per-process LRU memo that parses,
-perceives and measures each unique string once (an invalid one is memoized
-as None).  Scoring, the CoT audit and the weight bin all read the shared
+goes through ``dataset.prepare``: a per-process LRU memo of ``MEMO_SIZE``
+entries that parses, perceives and measures each string it holds once (an
+invalid one is memoized as None).  ``load_dataset`` has already put the
+ground truths in it, and the last ``MEMO_SIZE`` unique ones stay.  Scoring, the CoT audit and the weight bin all read the shared
 ``PreparedMol``; the top-k scan takes fingerprints from a second memo of the
 same size.  A third memo of that size holds the MCES result per (ground
 truth, candidate, budget) SMILES pair, so a candidate listed twice, or a
 pair that recurs across records, is searched once.  Pool workers each keep
-their own memos.
+their own memos, which start as a copy of the parent's where workers fork.
 """
 
 from __future__ import annotations
@@ -46,14 +50,11 @@ from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .chem import ChemError, canonical_smiles, dbe, mol_from_smiles, molecular_formula
+from .chem import ChemError, canonical_smiles, mol_from_smiles, same_structure
 from .chem.formula import ElementCounts, canonical_formula, parse_formula
-from .chem.mol import Molecule
-from .dataset import WEIGHT_BIN_LABELS, SpectrumRecord, weight_bin
+from .dataset import MEMO_SIZE, WEIGHT_BIN_LABELS, PreparedMol, SpectrumRecord, prepare, weight_bin
 from .protocol import ParsedResponse, parse_response
 from .similarity import Fingerprint, McesResult, mces, mces_floor, morgan_fingerprint, tanimoto
-
-_MEMO_SIZE = 2048  # entries per memo and process; ~20 KiB per prepared molecule for bench/data/large_library.tsv
 
 
 class EmptyInput(ValueError):
@@ -91,33 +92,13 @@ class CotAudit:
     word_count: int
 
 
-@dataclass(frozen=True)
-class PreparedMol:
-    """A perceived molecule and its formula and DBE, shared through ``prepare``: read-only."""
-
-    mol: Molecule
-    formula: ElementCounts
-    dbe: float
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
-def prepare(smiles: str) -> PreparedMol | None:
-    """Parse, perceive and measure ``smiles`` once per process; None if invalid."""
-    try:
-        mol = mol_from_smiles(smiles)
-    except ChemError:
-        return None
-    formula = molecular_formula(mol)
-    return PreparedMol(mol, formula, dbe(formula))
-
-
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def fingerprint(smiles: str, fp_radius: int, fp_nbits: int) -> Fingerprint:
     """Morgan fingerprint of a valid ``smiles``, built once per process and shape."""
     return morgan_fingerprint(prepare(smiles).mol, radius=fp_radius, nbits=fp_nbits)
 
 
-@lru_cache(maxsize=_MEMO_SIZE)
+@lru_cache(maxsize=MEMO_SIZE)
 def pair_mces(truth: str, candidate: str, budget: float) -> McesResult:
     """``mces`` of two valid SMILES, searched once per process, pair and budget."""
     return mces(prepare(truth).mol, prepare(candidate).mol, budget=budget)
@@ -146,7 +127,6 @@ def score_spectrum(
 ) -> PerSpectrumMetrics:
     _check_k(k)
     gt = _prepare_truth(record)
-    gt_canonical = canonical_smiles(gt.mol)
     gt_fp = fingerprint(record.ground_truth, fp_radius, fp_nbits)
 
     candidates = parsed.candidates
@@ -167,7 +147,7 @@ def score_spectrum(
     for rank, (smiles, cand) in enumerate(zip(candidates[:k], prepared[:k])):
         if cand is None:
             continue
-        exact = canonical_smiles(cand.mol) == gt_canonical
+        exact = same_structure(cand.mol, gt.mol, canonical_smiles)
         similarity = tanimoto(gt_fp, fingerprint(smiles, fp_radius, fp_nbits))
         if rank == 0:
             exact_top1 = exact

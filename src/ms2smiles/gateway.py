@@ -20,8 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
-import requests
-
 from .protocol import PromptInstance
 
 RETRYABLE_STATUSES = frozenset({408, 429, 500, 502, 503, 504})
@@ -109,16 +107,26 @@ class TranscriptCache:
 
 
 class HttpChatProvider:
-    """Chat-completions HTTP transport; ``post`` stands in for ``requests.post``."""
+    """Chat-completions HTTP transport; ``post`` stands in for ``requests.post``.
+
+    ``requests`` is imported on first use, not with the package: most
+    commands never make a request.  ``requests.post`` is read at construction.
+    """
 
     def __init__(self, post: Callable | None = None):
-        self._post = post or requests.post
+        if post is None:
+            import requests
+
+            post = requests.post
+        self._post = post
 
     def fetch(self, prompt: str, config: ProviderConfig, record_id: str) -> str:
         api_key = os.environ.get(config.api_key_env)
         if not api_key:
             raise MissingApiKey(f"environment variable {config.api_key_env} is not set")
         headers = {"Authorization": f"Bearer {api_key}", "Content-Type": "application/json"}
+        import requests
+
         try:
             response = self._post(
                 config.endpoint_url,

@@ -5,10 +5,11 @@ same kekulized bond order and the same unordered endpoint-element pair, and
 the per-edge correspondences must extend to one consistent partial injective
 atom mapping.  The common subgraph may be disconnected.
 
-After the edge-free, label-multiset and identity checks, ``mces`` brackets
-the optimum between a lower bound (a common subgraph it has found) and an
-upper bound (a count no common subgraph can exceed), and stops as soon as
-the two meet.  In order, cheapest first:
+After the edge-free, label-multiset and identity checks (the identity check
+is ``chem.canon.same_structure``, which canonicalizes only molecules with
+equal atom labels), ``mces`` brackets the optimum between a lower bound (a
+common subgraph it has found) and an upper bound (a count no common subgraph
+can exceed), and stops as soon as the two meet.  In order, cheapest first:
 
 1. Degree-sequence upper bound.  Each atom's bonds are counted per class
    (element, neighbour element, bond order).  A common edge at atom u maps
@@ -52,7 +53,7 @@ from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
 
-from ..chem.canon import canonical_smiles, stable_hash
+from ..chem.canon import canonical_smiles, same_structure, stable_hash
 from ..chem.mol import Molecule
 
 _SEEDS = 10
@@ -112,7 +113,7 @@ def mces(a: Molecule, b: Molecule, budget: float = 1.0) -> McesResult:
 
     # Identical structures need no search; this also keeps the exact-match /
     # zero-dissimilarity correspondence immune to budget truncation.
-    if n_ea == n_eb and canonical_smiles(a) == canonical_smiles(b):
+    if same_structure(a, b, canonical_smiles):
         return McesResult(n_ea, 0.0, True)
 
     def result(common: int, optimal: bool, nodes: int = 0) -> McesResult:

@@ -5,6 +5,8 @@ Nothing here imports the modules it checks beyond the shared data types.
 
 from __future__ import annotations
 
+import hashlib
+
 from ms2smiles.chem.mol import Molecule
 
 
@@ -143,3 +145,31 @@ def seeded_lower_bound_all_pairs(pa, pb, upper: int, seeds: int) -> int:
         if best >= upper:
             break
     return best
+
+
+def refine_ranks_rehashing(seeds, adjacency) -> tuple[list[int], list[int]]:
+    """Morgan-style refinement that hashes every atom in every round.
+
+    The straightforward form of ``chem.canon.refine_ranks``: each round
+    rehashes each atom's key and sorted neighbourhood with blake2b over the
+    repr, including the round that only confirms the partition is stable.
+    """
+
+    def stable_hash(*parts) -> int:
+        digest = hashlib.blake2b(repr(parts).encode("utf-8"), digest_size=8).digest()
+        return int.from_bytes(digest, "big")
+
+    keys = [stable_hash("seed", seed) for seed in seeds]
+    n_classes = len(set(keys))
+    while True:
+        new_keys = [
+            stable_hash("refine", keys[i], tuple(sorted((label, keys[j]) for label, j in adjacency[i])))
+            for i in range(len(seeds))
+        ]
+        new_n = len(set(new_keys))
+        if new_n == n_classes:
+            break
+        keys = new_keys
+        n_classes = new_n
+    order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
+    return [order[k] for k in keys], keys

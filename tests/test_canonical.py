@@ -1,14 +1,22 @@
 from __future__ import annotations
 
+import csv
 import random
+from pathlib import Path
 
 from ms2smiles.chem import (
     canonical_smiles,
     mol_from_smiles,
     molecular_formula,
     molecules_equal,
+    same_structure,
     write_smiles,
 )
+from ms2smiles.chem.canon import _atom_seed, labeled_adjacency, refine_ranks
+
+from oracles import refine_ranks_rehashing
+
+LARGE_LIBRARY = Path(__file__).resolve().parents[1] / "bench" / "data" / "large_library.tsv"
 
 TABLE4_MEDIUM = [
     "NCC(C1=CC=C(O)C=C1)C(=O)O",
@@ -98,3 +106,45 @@ def test_isomer_zoo_stays_distinct():
     isomers = ["CCCCN", "CC(C)CN", "CC(C)(C)N", "CCNCC", "CNC(C)C", "CCCNC", "CN(C)CC"]
     canon = {canonical_smiles(mol_from_smiles(s)) for s in isomers}
     assert len(canon) == len(isomers)
+
+
+def _large_library() -> list[str]:
+    with open(LARGE_LIBRARY, newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh, delimiter="\t"))
+    return [row[column] for row in rows for column in ("ground_truth", "candidate")]
+
+
+def test_refinement_equals_the_rehashing_oracle(corpus):
+    rng = random.Random(61)
+    for smiles in corpus + _large_library():
+        mol = mol_from_smiles(smiles)
+        seeds = [_atom_seed(mol, i) for i in range(mol.n_atoms)]
+        adjacency = labeled_adjacency(mol)
+        expected = refine_ranks_rehashing(seeds, adjacency)
+        assert refine_ranks(seeds, adjacency) == expected, smiles
+        # Individualization rounds, as canonicalization runs them.
+        marks: dict[int, int] = {}
+        for i in rng.sample(range(mol.n_atoms), min(3, mol.n_atoms)):
+            marks[i] = len(marks)
+            marked = [(seed, marks.get(j, -1)) for j, seed in enumerate(seeds)]
+            assert refine_ranks(marked, adjacency) == refine_ranks_rehashing(marked, adjacency), smiles
+
+
+def test_same_structure_canonicalizes_only_pairs_with_equal_atom_labels():
+    canonicalized = []
+
+    def canonical(mol):
+        canonicalized.append(mol)
+        return canonical_smiles(mol)
+
+    truth = mol_from_smiles("NC(Cc1ccc(O)cc1)C(=O)O")
+    assert same_structure(truth, truth, canonical) and canonicalized == []
+    for other in ("CCO", "[NH3+]C(Cc1ccc(O)cc1)C(=O)[O-]", "NC(Cc1ccc(O)cc1)C(=O)[18OH]", "NCC(=O)O"):
+        assert not same_structure(truth, mol_from_smiles(other), canonical), other
+    assert canonicalized == []
+    # Another spelling, a Kekule spelling and a same-label isomer.
+    for other, same in (("O=C(O)C(N)Cc1ccc(O)cc1", True), ("NC(CC1=CC=C(O)C=C1)C(=O)O", True),
+                        ("Oc1ccccc1CC(N)C(=O)O", False)):
+        canonicalized.clear()
+        assert same_structure(truth, mol_from_smiles(other), canonical) is same, other
+        assert len(canonicalized) == 2, other

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ms2smiles.chem import ChemError, canonical_smiles, mol_from_smiles
+import ms2smiles.chem.canon as canon_module
+import ms2smiles.dataset as dataset_module
+from ms2smiles.chem import ChemError, canonical_formula, canonical_smiles, mol_from_smiles, molecular_formula, write_smiles
+from ms2smiles.cli import main
 from ms2smiles.dataset import SpectrumRecord
 import ms2smiles.evaluate as evaluate_module
 from ms2smiles.evaluate import (
@@ -147,6 +151,9 @@ def _mces_searching_every_candidate(truth, candidates, k, budget):
 
 
 def test_screening_matches_searching_every_candidate(corpus, monkeypatch):
+    # Searches are counted below the pair memo, so start from empty memos.
+    pair_mces.cache_clear()
+    prepare.cache_clear()
     searched = []
     search = evaluate_module.mces
 
@@ -404,3 +411,111 @@ def test_candidate_without_tabulated_mass_still_scores(candidate):
     assert not metrics.exact_top1 and metrics.exact_topk
     assert metrics.bin == "[0,200)"
     assert not audit.contradiction
+
+
+# Each ground truth with candidates that test the exact-match gate: other
+# spellings (atom order, Kekule and aromatic input), same-formula isomers,
+# and charge and isotope variants (same formula or not).
+EXACT_FAMILIES = {
+    "OCC": ["CCO", "C(O)C", "COC", "[13CH3]CO", "CC[O-]", "CC[OH2+]", "OC[13CH3]"],
+    "Oc1ccccc1CCN": [
+        "OC1=CC=CC=C1CCN", "NCCC1=CC=CC=C1O", "Oc1ccc(CCN)cc1", "Oc1cccc(CCN)c1",
+        "[NH3+]CCc1ccccc1O", "Oc1ccccc1CC[15NH2]", "[O-]c1ccccc1CCN",
+    ],
+    "NC(Cc1ccc(O)cc1)C(=O)O": [
+        "O=C(O)C(N)Cc1ccc(O)cc1", "NC(CC1=CC=C(O)C=C1)C(=O)O", "NCC(C1=CC=C(O)C=C1)C(=O)O",
+        "OC1=CC=CC=C1CC(N)C(=O)O", "[NH3+]C(Cc1ccc(O)cc1)C(=O)[O-]", "NC(Cc1ccc(O)cc1)C(=O)[O-]",
+    ],
+    "c1ccccc1": ["C1=CC=CC=C1", "C=1C=CC=CC=1", "[13cH]1ccccc1", "C1=CCC=CC1", "C#CC#CCC"],
+    "CC(C)(C)N": ["NC(C)(C)C", "CCCCN", "CC(C)CN", "CN(C)CC", "C[N+](C)(C)C", "[15NH2]C(C)(C)C"],
+}
+
+
+def _exact_by_canonical_strings(truth, candidates, k):
+    """(top-1, top-k) exact match comparing canonical strings for every valid candidate."""
+    gt = canonical_smiles(mol_from_smiles(truth))
+    top1 = topk = False
+    for rank, smiles in enumerate(candidates[:k]):
+        try:
+            exact = canonical_smiles(mol_from_smiles(smiles)) == gt
+        except ChemError:
+            continue
+        if rank == 0:
+            top1 = exact
+        topk = topk or exact
+    return top1, topk
+
+
+def test_exact_match_equals_comparing_every_canonical_string(corpus):
+    rng = random.Random(89)
+    by_formula: dict[str, list[str]] = {}
+    for smiles in rng.sample(corpus, 400):
+        by_formula.setdefault(canonical_formula(molecular_formula(mol_from_smiles(smiles))), []).append(smiles)
+    isomers = [group for group in by_formula.values() if len(group) > 1]
+    families = dict(EXACT_FAMILIES)
+    for group in isomers:
+        families.setdefault(group[0], group[1:])
+    assert len(families) > len(EXACT_FAMILIES)
+
+    prepare.cache_clear()
+    respelled_hits = same_formula_misses = 0
+    for i in range(150):
+        truth = rng.choice(sorted(families))
+        mol = mol_from_smiles(truth)
+        ranks = list(range(mol.n_atoms))
+        rng.shuffle(ranks)
+        pool = families[truth] + [truth, write_smiles(mol, ranks), rng.choice(corpus), "C1CC"]
+        candidates = [rng.choice(pool) for _ in range(rng.randint(0, 6))]
+        k = rng.choice((1, 3, 10))
+        got = score_spectrum(make_record(truth, rid=f"x{i}"), response(candidates), k)
+        expected = _exact_by_canonical_strings(truth, candidates, k)
+        assert (got.exact_top1, got.exact_topk) == expected, (truth, candidates, k)
+        respelled_hits += got.exact_topk and truth not in candidates[:k]
+        same_formula_misses += not got.exact_topk and any(
+            c != truth and c in families[truth] for c in candidates[:k]
+        )
+    assert respelled_hits > 0 and same_formula_misses > 0
+
+
+def test_candidates_of_another_formula_are_never_canonicalized(monkeypatch):
+    canonicalized = []
+    original = canon_module._canonical_string
+
+    def recorded(mol):
+        canonicalized.append(mol)
+        return original(mol)
+
+    monkeypatch.setattr(canon_module, "_canonical_string", recorded)
+    prepare.cache_clear()
+    pair_mces.cache_clear()
+    truth = "NC(Cc1ccc(O)cc1)C(=O)O"
+    other_formulas = ["CCO", "c1ccccc1CCN", "NC(Cc1ccccc1)C(=O)O", "[NH3+]C(Cc1ccc(O)cc1)C(=O)O", "C1CC"]
+    metrics = score_spectrum(make_record(truth), response(other_formulas), k=10)
+    assert metrics.n_valid == 4 and not metrics.exact_topk
+    assert canonicalized == []  # neither exact match nor MCES canonicalized anything
+
+    isomer, respelled = "NCC(C1=CC=C(O)C=C1)C(=O)O", "O=C(O)C(N)Cc1ccc(O)cc1"
+    metrics = score_spectrum(make_record(truth, rid="r2"), response([isomer, respelled]), k=10)
+    assert not metrics.exact_top1 and metrics.exact_topk
+    assert sorted(canonical_smiles(m) for m in canonicalized) == sorted(
+        canonical_smiles(mol_from_smiles(s)) for s in (truth, isomer, respelled)
+    )
+
+
+def test_evaluating_the_fixture_parses_each_smiles_once(data_dir, tmp_path, monkeypatch):
+    parsed = Counter()
+    for module in (dataset_module, evaluate_module):
+
+        def counted(smiles, _parse=module.mol_from_smiles):
+            parsed[smiles] += 1
+            return _parse(smiles)
+
+        monkeypatch.setattr(module, "mol_from_smiles", counted)
+    prepare.cache_clear()
+    args = ["--dataset", str(data_dir / "fixture.tsv"), "--run-dir", str(tmp_path), "--split", "test"]
+    assert main(["run", *args, "--provider", f"mock:{data_dir / 'transcripts'}"]) == 0
+    assert main(["evaluate", *args, "--workers", "1"]) == 0
+    # Three ground truths and 11 other candidate strings (one invalid), with
+    # ``run`` and ``evaluate`` in one process: each string is parsed once.
+    assert {"CC(C)(C)N", "c1ccccc1", "OCC", "CCO", "C1CC", "CCCN(C)C"} <= set(parsed)
+    assert len(parsed) == 14 and set(parsed.values()) == {1}, parsed

@@ -262,3 +262,29 @@ def test_outcome_invariants(config, cache):
     for outcome in (good, bad):
         assert (outcome.status == "ok") == bool(outcome.transcript)
         assert outcome.attempts <= config.max_retries + 1
+
+
+def test_importing_the_cli_does_not_load_requests():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = f"import sys; sys.path.insert(0, {src!r}); import ms2smiles.cli; print('requests' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
+
+
+def test_default_provider_posts_through_requests_post(config, cache, monkeypatch):
+    import requests
+
+    calls = []
+
+    def post(url, json=None, headers=None, timeout=None):
+        calls.append(url)
+        return FakeResponse(200, _ok_body("patched"))
+
+    monkeypatch.setattr(requests, "post", post)
+    outcome = complete("p", config, cache, HttpChatProvider(), sleep=lambda s: None)
+    assert outcome.status == "ok" and outcome.transcript == "patched"
+    assert calls == [config.endpoint_url]

@@ -14,9 +14,9 @@ from types import SimpleNamespace
 import pytest
 
 import ms2smiles
-from ms2smiles.chem import mol_from_smiles
+from ms2smiles.chem import canonical_formula, mol_from_smiles, molecular_formula, write_smiles
 from ms2smiles.chem.mol import Molecule
-from ms2smiles.similarity import mces, mces_floor
+from ms2smiles.similarity import McesResult, mces, mces_floor
 
 from oracles import brute_force_mces, seeded_lower_bound_all_pairs
 
@@ -393,3 +393,44 @@ def test_seeding_equals_the_all_pairs_ranking(corpus):
         for upper in (10**6, mces_module._degree_sequence_bound(pa, pb)):
             expected = seeded_lower_bound_all_pairs(pa, pb, upper, mces_module._SEEDS)
             assert mces_module._seeded_lower_bound(pa, pb, upper, math.inf) == (expected, False), (sa, sb)
+
+
+def test_identity_check_keeps_the_values(corpus, monkeypatch):
+    canon_module = importlib.import_module("ms2smiles.chem.canon")
+    canonicalized = []
+    original = canon_module._canonical_string
+    monkeypatch.setattr(canon_module, "_canonical_string", lambda mol: canonicalized.append(mol) or original(mol))
+    rng = random.Random(73)
+    mols = [m for m in map(mol_from_smiles, rng.sample(corpus, 40)) if m.n_bonds]
+    for mol in mols:  # the same object needs no canonical string
+        assert mces(mol, mol) == McesResult(mol.n_bonds, 0.0, True)
+    assert canonicalized == []
+
+    spellings = [
+        ("OCC", "CCO"),
+        ("C1=CC=CC=C1", "c1ccccc1"),
+        ("OC1=CC=CC=C1CC(N)C(=O)O", "O=C(O)C(N)Cc1ccccc1O"),
+        ("[NH3+]CC(=O)[O-]", "[O-]C(=O)C[NH3+]"),
+    ]
+    for mol in mols:
+        ranks = list(range(mol.n_atoms))
+        rng.shuffle(ranks)
+        spellings.append((canon_module.canonical_smiles(mol), write_smiles(mol, ranks)))
+    for sa, sb in spellings:
+        a, b = mol_from_smiles(sa), mol_from_smiles(sb)
+        assert mces(a, b) == McesResult(a.n_bonds, 0.0, True), (sa, sb)
+
+    # Same formula, not the same molecule: isomers and charge or isotope
+    # variants go on to the bounds and the search.
+    by_formula: dict[str, list[str]] = {}
+    for smiles in corpus:
+        mol = mol_from_smiles(smiles)
+        if mol.n_atoms <= 8:
+            by_formula.setdefault(canonical_formula(molecular_formula(mol)), []).append(smiles)
+    pairs = [("CCO", "COC"), ("CCCO", "CC(C)O"), ("CCO", "[13CH3]CO"), ("NCC(=O)O", "[NH3+]CC(=O)[O-]")]
+    pairs += [(group[0], other) for group in by_formula.values() for other in group[1:3]]
+    assert len(pairs) > 20
+    for sa, sb in pairs:
+        a, b = mol_from_smiles(sa), mol_from_smiles(sb)
+        got = mces(a, b, budget=10.0)
+        assert got.optimal and got.common_edges == brute_force_mces(a, b), (sa, sb)
