@@ -18,7 +18,7 @@ import hashlib
 import heapq
 from typing import Hashable, Sequence
 
-from .elements import AROMATIC_BRACKET, ORGANIC_SUBSET, VALENCES
+from .elements import AROMATIC_BRACKET, ORGANIC_SUBSET, implicit_hydrogens
 from .mol import BondOrder, Molecule
 
 
@@ -123,13 +123,6 @@ def _discrete_ranks(
         marks[min(members)] = len(marks)
 
 
-def _implied_plain_h(element: str, bond_order_sum: int) -> int:
-    for valence in VALENCES[element]:
-        if valence >= bond_order_sum:
-            return valence - bond_order_sum
-    return -1
-
-
 def _implied_aromatic_h(element: str, degree: int) -> int:
     if element == "C":
         return 1 if degree == 2 else 0
@@ -149,7 +142,7 @@ def _atom_token(mol: Molecule, i: int) -> str:
                 return atom.element.lower()
         else:
             order_sum = sum(int(mol.bonds[bi].order) for _, bi in mol.neighbors(i))
-            if h == _implied_plain_h(atom.element, order_sum):
+            if h == implicit_hydrogens(atom.element, order_sum):
                 return atom.element
     symbol = atom.element.lower() if aromatic and atom.element.lower() in AROMATIC_BRACKET else atom.element
     parts = ["["]

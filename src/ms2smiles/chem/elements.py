@@ -41,6 +41,14 @@ VALENCES: dict[str, tuple[int, ...]] = {
     "I": (1,),
 }
 
+def implicit_hydrogens(element: str, order_sum: int) -> int:
+    """Implicit H of an organic-subset atom: smallest fitting valence less ``order_sum``, else -1."""
+    for valence in VALENCES[element]:
+        if valence >= order_sum:
+            return valence - order_sum
+    return -1
+
+
 # Elements whose target valence moves with the charge sign: cations gain a
 # bonding slot (pyridinium N, pyrylium O), anions lose one (alkoxide O).
 _SHIFT_WITH_CHARGE = frozenset({"N", "P", "As", "O", "S", "Se", "Te", "F", "Cl", "Br", "I"})

@@ -14,13 +14,14 @@ Pipeline:
    double-bond pattern.
 
 Step 6 is what makes "OC1=CC=CC=C1R" and "Oc1ccccc1R" indistinguishable to
-canonicalization, fingerprints and MCES.
+canonicalization, fingerprints and MCES.  Steps 3 and 6 share one matcher,
+``_place_double_bonds``; step 5 reuses the ring bonds found for step 2.
 """
 
 from __future__ import annotations
 
 from .canon import refine_ranks
-from .elements import VALENCES, allowed_valences
+from .elements import VALENCES, allowed_valences, implicit_hydrogens
 from .errors import KekulizationFailure, ValenceViolation
 from .mol import Atom, Bond, BondOrder, Molecule
 from .rings import ring_bond_indices, small_rings
@@ -35,7 +36,7 @@ def mol_from_smiles(text: str) -> Molecule:
 
 
 def perceive(mol: Molecule) -> Molecule:
-    atoms, bonds, collapsed = _collapse_hydrogens(mol.atoms, mol.bonds)
+    atoms, bonds, collapsed = _collapse_hydrogens(mol)
     work = Molecule(atoms=atoms, bonds=bonds)
     ring_bonds = ring_bond_indices(work)
 
@@ -77,18 +78,12 @@ def perceive(mol: Molecule) -> Molecule:
     )
 
 
-def _collapse_hydrogens(
-    atoms: list[Atom], bonds: list[Bond]
-) -> tuple[list[Atom], list[Bond], list[int]]:
+def _collapse_hydrogens(mol: Molecule) -> tuple[list[Atom], list[Bond], list[int]]:
     """Fold [H] nodes into their heavy neighbor's hydrogen count.
 
     Isotopic, charged or H-bonded hydrogens stay as graph nodes.
     """
-    adj: list[list[tuple[int, int]]] = [[] for _ in atoms]
-    for bi, bond in enumerate(bonds):
-        adj[bond.a].append((bond.b, bi))
-        adj[bond.b].append((bond.a, bi))
-
+    atoms, bonds, adj = mol.atoms, mol.bonds, mol.adjacency()
     drop: set[int] = set()
     extra: dict[int, int] = {}
     for i, atom in enumerate(atoms):
@@ -132,17 +127,13 @@ def _check_aromatic_flags(
             )
 
 
-def _sigma_count(atoms: list[Atom], adj, collapsed: list[int], i: int) -> int:
-    return len(adj[i]) + (atoms[i].explicit_h or 0) + collapsed[i]
-
-
 def _needs_pi_bond(atoms, adj, orders, collapsed, i: int) -> bool:
     """Does this atom of an aromatic system require one double bond?"""
     for _, bi in adj[i]:
         if orders[bi] in (BondOrder.DOUBLE, BondOrder.TRIPLE):
             return False
     atom = atoms[i]
-    sigma = _sigma_count(atoms, adj, collapsed, i)
+    sigma = len(adj[i]) + (atom.explicit_h or 0) + collapsed[i]
     element, charge = atom.element, atom.charge
     if element == "C":
         return charge == 0
@@ -172,28 +163,34 @@ def _kekulize(atoms, bonds, adj, orders, collapsed) -> None:
         for i, a in enumerate(atoms)
     ]
     label_adj = [[(int(orders[bi]), j) for j, bi in adj[i]] for i in range(len(atoms))]
-    ranks, _ = refine_ranks(seeds, label_adj)
+    if not _place_double_bonds(bonds, arom_bonds, needy, seeds, label_adj, orders):
+        raise KekulizationFailure("no alternating single/double assignment exists")
 
-    partner_bonds: dict[int, list[tuple[int, int]]] = {i: [] for i in needy}
+
+def _place_double_bonds(bonds, arom_bonds, needy, seeds, label_adj, orders) -> bool:
+    """Write single/double ``orders`` over ``arom_bonds`` giving each ``needy``
+    atom one double bond, trying atoms in the order of the ranks refined from
+    ``seeds`` over ``label_adj``.  False when no such assignment exists."""
+    ranks, _ = refine_ranks(seeds, label_adj)
+    partners: dict[int, list[int]] = {i: [] for i in needy}
     for bi in arom_bonds:
         a, b = bonds[bi].a, bonds[bi].b
         if a in needy and b in needy:
-            partner_bonds[a].append((b, bi))
-            partner_bonds[b].append((a, bi))
-    for i in partner_bonds:
-        partner_bonds[i].sort(key=lambda vb: (ranks[vb[0]], vb[0]))
+            partners[a].append(b)
+            partners[b].append(a)
+    for row in partners.values():
+        row.sort(key=lambda v: (ranks[v], v))
 
-    matching = _perfect_matching(sorted(needy, key=lambda i: (ranks[i], i)), partner_bonds)
+    matching = _perfect_matching(sorted(needy, key=lambda i: (ranks[i], i)), partners)
     if matching is None:
-        raise KekulizationFailure("no alternating single/double assignment exists")
+        return False
     for bi in arom_bonds:
         a, b = bonds[bi].a, bonds[bi].b
         orders[bi] = BondOrder.DOUBLE if matching.get(a) == b else BondOrder.SINGLE
+    return True
 
 
-def _perfect_matching(
-    order: list[int], partner_bonds: dict[int, list[tuple[int, int]]]
-) -> dict[int, int] | None:
+def _perfect_matching(order: list[int], partners: dict[int, list[int]]) -> dict[int, int] | None:
     matched: dict[int, int] = {}
     steps = 0
 
@@ -205,7 +202,7 @@ def _perfect_matching(
         u = next((x for x in order if x not in matched), None)
         if u is None:
             return True
-        for v, _ in partner_bonds[u]:
+        for v in partners[u]:
             if v in matched:
                 continue
             matched[u] = v
@@ -233,11 +230,7 @@ def _fill_hydrogens(atoms, adj, orders, collapsed) -> list[int]:
                 )
             hydrogens.append(atom.explicit_h + collapsed[i])
         else:
-            implicit = -1
-            for valence in VALENCES[atom.element]:
-                if valence >= order_sum:
-                    implicit = valence - order_sum
-                    break
+            implicit = implicit_hydrogens(atom.element, order_sum)
             if implicit < 0:
                 raise ValenceViolation(
                     f"atom {i} ({atom.element}) has bond-order sum {order_sum}, "
@@ -325,35 +318,14 @@ def _canonical_rekekulize(
         if any(orders[b] == BondOrder.DOUBLE and b in arom_bonds for _, b in adj[i])
     }
     seeds = [
-        (
-            a.element,
-            a.charge,
-            a.isotope or 0,
-            mol.hydrogens[i],
-            len(adj[i]),
-            i in arom_atoms,
-        )
+        (a.element, a.charge, a.isotope or 0, mol.hydrogens[i], len(adj[i]), i in arom_atoms)
         for i, a in enumerate(mol.atoms)
     ]
     label_adj = [
         [(int(BondOrder.AROMATIC) if bi in arom_bonds else int(orders[bi]), j) for j, bi in adj[i]]
         for i in range(mol.n_atoms)
     ]
-    ranks, _ = refine_ranks(seeds, label_adj)
-
-    partner_bonds: dict[int, list[tuple[int, int]]] = {i: [] for i in needy}
-    for bi in arom_bonds:
-        a, b = mol.bonds[bi].a, mol.bonds[bi].b
-        if a in needy and b in needy:
-            partner_bonds[a].append((b, bi))
-            partner_bonds[b].append((a, bi))
-    for i in partner_bonds:
-        partner_bonds[i].sort(key=lambda vb: (ranks[vb[0]], vb[0]))
-
-    matching = _perfect_matching(sorted(needy, key=lambda i: (ranks[i], i)), partner_bonds)
-    if matching is None:  # the pre-normalization pattern is a witness
+    if not _place_double_bonds(mol.bonds, arom_bonds, needy, seeds, label_adj, orders):
+        # the pre-normalization pattern is a witness
         raise KekulizationFailure("internal: aromatic ring lost its kekule pattern")
-    for bi in arom_bonds:
-        a, b = mol.bonds[bi].a, mol.bonds[bi].b
-        orders[bi] = BondOrder.DOUBLE if matching.get(a) == b else BondOrder.SINGLE
     return orders

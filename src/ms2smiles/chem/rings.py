@@ -46,12 +46,11 @@ def ring_bond_indices(mol: Molecule) -> frozenset[int]:
 def small_rings(mol: Molecule, max_size: int = 7) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All simple cycles up to ``max_size`` atoms, as (atom_tuple, bond_tuple).
 
-    Restricted to ring bonds, deduplicated by atom set.  Each cycle's atoms are
-    listed in traversal order starting from its smallest atom index.
+    Restricted to ``mol.ring_bonds``, deduplicated by atom set.  Each cycle's
+    atoms are listed in traversal order starting from its smallest atom index.
     """
-    ring_bonds = ring_bond_indices(mol)
     adj_ring: list[list[tuple[int, int]]] = [[] for _ in mol.atoms]
-    for bi in ring_bonds:
+    for bi in mol.ring_bonds:
         bond = mol.bonds[bi]
         adj_ring[bond.a].append((bond.b, bi))
         adj_ring[bond.b].append((bond.a, bi))

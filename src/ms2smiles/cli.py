@@ -185,13 +185,10 @@ def cmd_evaluate(config: RunConfig, table: bool = False) -> int:
     if not transcripts_dir.is_dir():
         print(f"missing transcripts directory {transcripts_dir}", file=sys.stderr)
         return EXIT_DATA
-    transcripts = {
-        record.id: (
-            (transcripts_dir / f"{record.id}.txt").read_text(encoding="utf-8")
-            if (transcripts_dir / f"{record.id}.txt").exists()
-            else ""
-        )
+    transcripts = {  # a record without a transcript file is scored as empty
+        record.id: path.read_text(encoding="utf-8")
         for record in result.records
+        if (path := transcripts_dir / f"{record.id}.txt").exists()
     }
     workers = config.workers or config.http.parallelism
     metrics, audits = evaluate_records(

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -119,9 +121,7 @@ class LoadResult:
             f"(train {per_split['train']} / val {per_split['val']} / test {per_split['test']})",
             f"skipped rows: {len(self.skipped)}",
         ]
-        reasons: dict[str, int] = {}
-        for _, reason in self.skipped:
-            reasons[reason] = reasons.get(reason, 0) + 1
+        reasons = Counter(reason for _, reason in self.skipped)
         for reason in sorted(reasons):
             lines.append(f"  {reason}: {reasons[reason]}")
         if self.skipped:
@@ -155,23 +155,31 @@ def weight_bin(formula: ElementCounts) -> str:
 
 
 def _parse_number_list(value) -> list[float]:
+    """Numbers from a list or a space/comma-separated string; ValueError unless all are finite."""
     if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    text = str(value).strip().strip("[]")
-    if not text:
-        return []
-    parts = text.replace(",", " ").split()
-    return [float(p) for p in parts]
+        parts = value
+    else:
+        parts = str(value).strip().strip("[]").replace(",", " ").split()
+    numbers = [float(p) for p in parts]
+    if not all(map(math.isfinite, numbers)):
+        raise ValueError("non-finite number")
+    return numbers
 
 
 def _build_record(label: str, fields: dict, skipped: list) -> SpectrumRecord | None:
     def skip(reason: str) -> None:
         skipped.append((label, reason))
 
+    # The id names the record's transcript file, so it must be one plain name.
+    record_id = str(fields.get("id", label))
+    if record_id in ("", ".", "..") or "/" in record_id or "\\" in record_id:
+        skip("BadId")
+        return None
+
     try:
         mzs = _parse_number_list(fields.get("mzs", ""))
         intensities = _parse_number_list(fields.get("intensities", ""))
-    except ValueError:
+    except (TypeError, ValueError):
         skip("BadNumber")
         return None
     if not mzs:
@@ -184,9 +192,7 @@ def _build_record(label: str, fields: dict, skipped: list) -> SpectrumRecord | N
         skip("NonPositiveMz")
         return None
 
-    pairs = sorted(zip(mzs, intensities))
-    mzs = [m for m, _ in pairs]
-    intensities = [i for _, i in pairs]
+    mzs, intensities = zip(*sorted(zip(mzs, intensities)))
     try:
         intensities = normalize_intensities(intensities)
     except (AllZeroIntensities, ValueError):
@@ -214,12 +220,14 @@ def _build_record(label: str, fields: dict, skipped: list) -> SpectrumRecord | N
     if ce_raw is not None and str(ce_raw).strip():
         try:
             collision_energy = float(ce_raw)
-        except ValueError:
+        except (TypeError, ValueError):
+            collision_energy = math.nan
+        if not math.isfinite(collision_energy):
             skip("BadCollisionEnergy")
             return None
 
     return SpectrumRecord(
-        id=str(fields.get("id", label)),
+        id=record_id,
         mzs=tuple(mzs),
         intensities=tuple(intensities),
         formula=formula,
@@ -271,6 +279,8 @@ def _iter_jsonl(path: Path):
 def load_dataset(path: str, split: str | None = None) -> LoadResult:
     """Load and validate records; invalid rows are tallied, not fatal.
 
+    A later repeat of a record's id (it names the transcript) is skipped as ``DuplicateId``.
+
     Each ground truth is validated through ``prepare``, so it is parsed once
     however many spectra share it, and scoring reuses the result while it
     stays in the memo.
@@ -284,22 +294,27 @@ def load_dataset(path: str, split: str | None = None) -> LoadResult:
     except OSError as exc:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
+    ids: set[str] = set()
     for label, payload in rows:
         result.n_rows += 1
         if jsonl:
             try:
                 raw = json.loads(payload)
             except json.JSONDecodeError:
-                result.skipped.append((label, "BadJson"))
-                continue
+                raw = None
             if not isinstance(raw, dict):
                 result.skipped.append((label, "BadJson"))
                 continue
         else:
             raw = payload
         record = _build_record(label, _canonical_fields(raw), result.skipped)
-        if record is not None:
-            result.records.append(record)
+        if record is None:
+            continue
+        if record.id in ids:
+            result.skipped.append((label, "DuplicateId"))
+            continue
+        ids.add(record.id)
+        result.records.append(record)
 
     if not result.records:
         raise NoValidRows(f"{path}: no valid rows ({len(result.skipped)} skipped)")

@@ -19,10 +19,9 @@ Invalid candidates are skipped inside the top-k scans, never zero-scored.
 The rank-0 candidate is always searched, so MCES top-1 is its own value.
 Past rank 0, a candidate is searched only when its ``mces_floor`` lies
 below the running top-k minimum.  The floor is the dissimilarity that the
-tighter of two upper bounds on the common edge count allows: the shared
-bond-label multiset and the degree-sequence bound (per bond class, the two
-molecules' per-atom counts of incident bonds, paired off).  Any result of
-the candidate's search, truncated or not, is at least that floor and so
+degree-sequence bound on the common edge count allows (per bond class, the
+two molecules' per-atom counts of incident bonds, paired off).  Any result
+of the candidate's search, truncated or not, is at least that floor and so
 could not lower the minimum.  Top-1 and top-k values are therefore those of
 searching every candidate, and ``mces_truncated`` flags a truncated search
 among those that ran.  ``k`` below 1 is rejected.
@@ -45,7 +44,7 @@ import csv
 import json
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, astuple, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
@@ -83,13 +82,15 @@ class PerSpectrumMetrics:
 
 @dataclass(frozen=True)
 class CotAudit:
+    """Fields in cot_audit.csv column order."""
+
     record_id: str
+    word_count: int
     stated_dbe: float | None
-    stated_formula: ElementCounts | None
     dbe_claim_correct: bool | None
+    stated_formula: ElementCounts | None
     formula_claim_correct: bool | None
     contradiction: bool
-    word_count: int
 
 
 @lru_cache(maxsize=MEMO_SIZE)
@@ -417,18 +418,26 @@ def evaluate_records(
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_evaluate_task, tasks, chunksize=8))
-    metrics = [m for m, _ in results]
-    audits = [a for _, a in results]
-    return metrics, audits
-
-
-_PER_SPECTRUM_COLUMNS = tuple(f.name for f in fields(PerSpectrumMetrics))
+    return [m for m, _ in results], [a for _, a in results]
 
 
 def _cell(value) -> object:
+    """A bool as 0/1 and a formula as its Hill string; csv writes None as an empty cell."""
     if isinstance(value, bool):
         return int(value)
+    if isinstance(value, dict):
+        return canonical_formula(value)
     return value
+
+
+def _write_rows(path: Path, row_type: type, rows: Sequence) -> None:
+    """One CSV row per ``row_type`` instance, under its field names."""
+    columns = [f.name for f in fields(row_type)]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        for row in rows:
+            writer.writerow([_cell(getattr(row, name)) for name in columns])
 
 
 def write_reports(
@@ -451,11 +460,7 @@ def write_reports(
         "cot_audit": out / "cot_audit.csv",
     }
 
-    with open(paths["per_spectrum"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(_PER_SPECTRUM_COLUMNS)
-        for m in metrics:
-            writer.writerow([_cell(value) for value in astuple(m)])
+    _write_rows(paths["per_spectrum"], PerSpectrumMetrics, metrics)
 
     with open(paths["aggregate_csv"], "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -471,29 +476,5 @@ def write_reports(
         writer.writeheader()
         writer.writerows(report.bins)
 
-    with open(paths["cot_audit"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            (
-                "record_id",
-                "word_count",
-                "stated_dbe",
-                "dbe_claim_correct",
-                "stated_formula",
-                "formula_claim_correct",
-                "contradiction",
-            )
-        )
-        for a in audits:
-            writer.writerow(
-                [
-                    a.record_id,
-                    a.word_count,
-                    "" if a.stated_dbe is None else a.stated_dbe,
-                    "" if a.dbe_claim_correct is None else int(a.dbe_claim_correct),
-                    "" if a.stated_formula is None else canonical_formula(a.stated_formula),
-                    "" if a.formula_claim_correct is None else int(a.formula_claim_correct),
-                    int(a.contradiction),
-                ]
-            )
+    _write_rows(paths["cot_audit"], CotAudit, audits)
     return paths

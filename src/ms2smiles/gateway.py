@@ -72,7 +72,8 @@ class CompletionOutcome:
 
 
 def cache_key(prompt: str, config: ProviderConfig) -> str:
-    """Stable digest over everything that determines a completion."""
+    """Stable digest of the prompt, model name, temperature and token limit; the
+    endpoint URL is left out, so compare providers in separate run directories."""
     payload = json.dumps(
         [prompt, config.model_name, config.temperature, config.max_tokens],
         ensure_ascii=False,

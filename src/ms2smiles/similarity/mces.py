@@ -5,17 +5,20 @@ same kekulized bond order and the same unordered endpoint-element pair, and
 the per-edge correspondences must extend to one consistent partial injective
 atom mapping.  The common subgraph may be disconnected.
 
-After the edge-free, label-multiset and identity checks (the identity check
-is ``chem.canon.same_structure``, which canonicalizes only molecules with
-equal atom labels), ``mces`` brackets the optimum between a lower bound (a
-common subgraph it has found) and an upper bound (a count no common subgraph
-can exceed), and stops as soon as the two meet.  In order, cheapest first:
+After the edge-free check, ``mces`` brackets the optimum between a lower
+bound (a common subgraph it has found) and an upper bound (a count no
+common subgraph can exceed), and stops as soon as the two meet.  In order,
+cheapest first:
 
-1. Degree-sequence upper bound.  Each atom's bonds are counted per class
-   (element, neighbour element, bond order).  A common edge at atom u maps
-   to a distinct edge of the same class at u's image, so per class the two
+1. Degree-sequence upper bound (RASCAL; Raymond, Gardiner & Willett,
+   Comput. J. 2002).  Each atom's bonds are counted per class (element,
+   neighbour element, bond order).  A common edge at atom u maps to a
+   distinct edge of the same class at u's image, so per class the two
    molecules' descending count sequences, paired off, bound twice the
-   common edges at those atoms.
+   common edges at those atoms.  Per edge label these counts add up to at
+   most twice the shared count, so the bound never exceeds the shared
+   label multiset and is 0 exactly when it is.  A 0 ends the call, and so
+   do identical structures (``chem.canon.same_structure``).
 2. Seeded lower bound.  Same-element atom pairs are ranked by the radius
    (0-4) to which their circular environments agree.  Only the pairs that
    agree at radius 1 are sorted; every other pair agrees at radius 0 alone
@@ -51,7 +54,6 @@ import itertools
 import time
 from collections import Counter
 from dataclasses import dataclass
-from operator import itemgetter
 
 from ..chem.canon import canonical_smiles, same_structure, stable_hash
 from ..chem.mol import Molecule
@@ -77,7 +79,6 @@ class _Profile:
     """The per-molecule inputs of every MCES step."""
 
     edges: list[tuple[int, int, tuple]]  # (atom, atom, label) per bond
-    labels: Counter  # multiset of edge labels
     elements: list[str]
     by_element: dict[str, list[int]]  # atom indices, ascending
     by_env1: dict[tuple[str, int], list[int]]  # by (element, radius-1 code), ascending
@@ -107,8 +108,8 @@ def mces(a: Molecule, b: Molecule, budget: float = 1.0) -> McesResult:
         return McesResult(0, 1.0, True)
 
     pa, pb = _profile(a), _profile(b)
-    label_bound = _label_multiset_bound(pa, pb)
-    if label_bound == 0:
+    upper = _degree_sequence_bound(pa, pb)
+    if upper == 0:
         return McesResult(0, 1.0, True)
 
     # Identical structures need no search; this also keeps the exact-match /
@@ -119,7 +120,6 @@ def mces(a: Molecule, b: Molecule, budget: float = 1.0) -> McesResult:
     def result(common: int, optimal: bool, nodes: int = 0) -> McesResult:
         return McesResult(common, _dissim(common, max_e), optimal, nodes)
 
-    upper = min(label_bound, _degree_sequence_bound(pa, pb))
     deadline = time.monotonic() + budget
     best, expired = _seeded_lower_bound(pa, pb, upper, deadline)
     best = max(best, 1)  # a single compatible edge pair is a common subgraph
@@ -140,16 +140,14 @@ def mces_floor(a: Molecule, b: Molecule) -> float:
     """A lower bound on ``mces(a, b).dissimilarity`` that runs no search.
 
     No common subgraph, optimal or truncated, has more edges than the
-    label-multiset or the degree-sequence bound, which read the same edge
-    labels as the search.  0.0 when either molecule has no bonds.
+    degree-sequence bound, which reads the same edge labels as the search.
+    0.0 when either molecule has no bonds.
     """
     a.require_perceived("MCES")
     b.require_perceived("MCES")
     if min(a.n_bonds, b.n_bonds) == 0:
         return 0.0
-    pa, pb = _profile(a), _profile(b)
-    bound = min(_label_multiset_bound(pa, pb), _degree_sequence_bound(pa, pb))
-    return _dissim(bound, max(a.n_bonds, b.n_bonds))
+    return _dissim(_degree_sequence_bound(_profile(a), _profile(b)), max(a.n_bonds, b.n_bonds))
 
 
 def _dissim(common: int, max_e: int) -> float:
@@ -213,7 +211,6 @@ def _build_profile(mol: Molecule) -> _Profile:
 
     return _Profile(
         edges=edges,
-        labels=Counter(map(_edge_label, edges)),
         elements=elements,
         by_element=by_element,
         by_env1=by_env1,
@@ -224,13 +221,6 @@ def _build_profile(mol: Molecule) -> _Profile:
     )
 
 
-_edge_label = itemgetter(2)
-
-
-def _label_multiset_bound(pa: _Profile, pb: _Profile) -> int:
-    return sum((pa.labels & pb.labels).values())
-
-
 def _degree_sequence_bound(pa: _Profile, pb: _Profile) -> int:
     """Per bond class, pair off the descending per-atom counts; half the total."""
     total = 0
@@ -239,8 +229,6 @@ def _degree_sequence_bound(pa: _Profile, pb: _Profile) -> int:
         if other:
             total += sum(map(min, counts, other))
     return total // 2
-
-
 
 
 def _seeded_lower_bound(

@@ -65,6 +65,31 @@ def test_run_and_evaluate_with_mock(tmp_path):
     assert "amine-001\tok" in log
 
 
+def test_run_writes_transcripts_only_inside_the_transcripts_directory(tmp_path):
+    replies = tmp_path / "mock" / "replies"
+    replies.mkdir(parents=True)
+    transcript = (Path(TRANSCRIPTS) / "ethanol-003.txt").read_text(encoding="utf-8")
+    for name in ("ok", "../evil"):  # the second lands beside the replies directory
+        (replies / f"{name}.txt").write_text(transcript, encoding="utf-8")
+    dataset = tmp_path / "ids.tsv"
+    dataset.write_text(
+        "id\tmzs\tintensities\tsmiles\tprecursor_formula\tfold\n"
+        "ok\t10.0\t1.0\tCCO\tC2H6O\ttest\n"
+        "../evil\t10.0\t1.0\tCCO\tC2H6O\ttest\n"
+        "ok\t10.0\t1.0\tCCC\tC3H8\ttest\n",
+        encoding="utf-8",
+    )
+    before = set(tmp_path.rglob("*"))
+    run_dir = tmp_path / "run"
+    assert main(["run", "--dataset", str(dataset), "--run-dir", str(run_dir), "--provider", f"mock:{replies}"]) == 0
+    written = sorted(
+        p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*") if p.is_file() and p not in before
+    )
+    assert [p for p in written if not p.startswith(("run/cache/", "run/batch_log.tsv"))] == [
+        "run/transcripts/ok.txt"
+    ]
+
+
 def test_rerun_uses_cache(tmp_path):
     run_dir = tmp_path / "run"
     args = ["--dataset", FIXTURE, "--run-dir", str(run_dir), "--split", "test",

@@ -64,6 +64,34 @@ def test_bad_rows_are_skipped_with_reasons(tmp_path):
     assert "LengthMismatch" in text
 
 
+@pytest.mark.parametrize(
+    "row, reason",
+    [
+        ("r1\t10.0 inf\t0.5 1.0\tCCO\tC2H6O\t[M+H]+\tQTOF\t20\ttest", "BadNumber"),
+        ("r1\t10.0 20.0\t0.5 nan\tCCO\tC2H6O\t[M+H]+\tQTOF\t20\ttest", "BadNumber"),
+        ("r1\t10.0 20.0\t0.5 1.0\tCCO\tC2H6O\t[M+H]+\tQTOF\tnan\ttest", "BadCollisionEnergy"),
+    ],
+    ids=["mz", "intensity", "collision_energy"],
+)
+def test_non_finite_numbers_are_skipped(tmp_path, row, reason):
+    rows = ["ok\t10.0 20.0\t0.5 1.0\tCCO\tC2H6O\t[M+H]+\tQTOF\t20\ttest", row]
+    result = load_dataset(_write_tsv(tmp_path / "nonfinite.tsv", rows))
+    assert [r.id for r in result.records] == ["ok"]
+    assert result.records[0].intensities == (0.5, 1.0)
+    assert result.skipped == [("line 3", reason)]
+
+
+def test_unsafe_and_repeated_ids_are_skipped(tmp_path):
+    ids = ["ok", "../evil", "a/b", "a\\b", ".", "..", "", "ok", "ok2"]
+    rows = [f"{i}\t10.0\t1.0\tCCO\tC2H6O\t[M+H]+\tQTOF\t20\ttest" for i in ids]
+    result = load_dataset(_write_tsv(tmp_path / "ids.tsv", rows))
+    assert [r.id for r in result.records] == ["ok", "ok2"]
+    assert [reason for _, reason in result.skipped] == ["BadId"] * 6 + ["DuplicateId"]
+    assert result.skipped[-1][0] == "line 9"
+    text = result.report_text()
+    assert "BadId: 6" in text and "DuplicateId: 1" in text
+
+
 def test_header_aliases(tmp_path):
     path = tmp_path / "alias.tsv"
     path.write_text(
@@ -90,6 +118,21 @@ def test_jsonl_loading(tmp_path):
     assert [r.id for r in result.records] == ["j1", "j2"]
     assert result.records[1].intensities == (0.5, 1.0)
     assert result.skipped == [("line 3", "BadJson")]
+
+
+def test_jsonl_numbers_of_the_wrong_shape_are_skipped(tmp_path):
+    base = {"mzs": [10.0], "intensities": [1.0], "smiles": "CCO", "precursor_formula": "C2H6O", "fold": "test"}
+    rows = [
+        {**base, "id": "ok"},
+        {**base, "id": "nested", "mzs": [[10.0]]},
+        {**base, "id": "listed-ce", "collision_energy": [20.0]},
+        {**base, "id": "infinite", "intensities": [float("inf")]},
+    ]
+    path = tmp_path / "shapes.jsonl"
+    path.write_text("\n".join(json.dumps(r) for r in rows), encoding="utf-8")
+    result = load_dataset(str(path))
+    assert [r.id for r in result.records] == ["ok"]
+    assert [reason for _, reason in result.skipped] == ["BadNumber", "BadCollisionEnergy", "BadNumber"]
 
 
 def test_split_filter(data_dir):

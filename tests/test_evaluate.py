@@ -22,6 +22,7 @@ from ms2smiles.evaluate import (
     pair_mces,
     prepare,
     score_spectrum,
+    write_reports,
 )
 from ms2smiles.protocol import ParsedResponse, parse_response
 from ms2smiles.similarity import mces, mces_floor, morgan_fingerprint
@@ -230,6 +231,21 @@ def test_audit_no_contradiction_without_valid_candidate():
     audit = audit_cot(response(["C1CC"], think=think), make_record("c1ccccc1"))
     assert audit.stated_dbe == 3.0
     assert not audit.contradiction
+
+
+def test_cot_audit_csv_cells(tmp_path):
+    think = "* Formula: C6H12O6\n* Double Bond Equivalents (DBE): DBE = 3"
+    claimed, silent = response(["CCO"], think=think), response([])
+    records = [make_record("OCC", formula={"C": 6, "H": 12, "O": 6}), make_record("CCC", rid="r2")]
+    metrics = [score_spectrum(r, p) for r, p in zip(records, (claimed, silent))]
+    audits = [audit_cot(p, r) for r, p in zip(records, (claimed, silent))]
+    write_reports(tmp_path, metrics, audits, aggregate(metrics, audits))
+    # A bool is 0/1, a formula its Hill string, and a missing claim an empty cell.
+    assert (tmp_path / "cot_audit.csv").read_text(encoding="utf-8").splitlines() == [
+        "record_id,word_count,stated_dbe,dbe_claim_correct,stated_formula,formula_claim_correct,contradiction",
+        f"r1,{claimed.cot_word_count},3.0,0,C6H12O6,1,1",
+        "r2,0,,,,,0",
+    ]
 
 
 @settings(max_examples=200, deadline=None)
@@ -519,3 +535,34 @@ def test_evaluating_the_fixture_parses_each_smiles_once(data_dir, tmp_path, monk
     # ``run`` and ``evaluate`` in one process: each string is parsed once.
     assert {"CC(C)(C)N", "c1ccccc1", "OCC", "CCO", "C1CC", "CCCN(C)C"} <= set(parsed)
     assert len(parsed) == 14 and set(parsed.values()) == {1}, parsed
+
+
+def test_benchmark_hooks_patch_the_package(data_dir):
+    """``bench/tracing.py`` replaces names inside the package (the parse,
+    canonicalization, MCES and pool bindings of ``evaluate``, the
+    ``canonical_smiles`` binding of the MCES module, and more); renaming one
+    must fail here.  Its pool passes one argument per task, so
+    ``evaluate_records`` maps over a single iterable."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys, tracing\n"
+        "import ms2smiles.evaluate as evaluate, ms2smiles.gateway as gateway\n"
+        "from ms2smiles.dataset import load_dataset\n"
+        "records = load_dataset(sys.argv[1]).records\n"
+        "tracing.LayerProbe({r.id: 'bin0_200' for r in records}).install(1.0)\n"
+        "tracing.install_latency_timers(evaluate, gateway, [], [])\n"
+        "evaluate.evaluate_records(records, {}, workers=2)\n"
+        "assert len(tracing.TimedPool.durations) == len(records)\n"
+    )
+    path = os.pathsep.join([str(root / "src"), str(root / "bench"), os.environ.get("PYTHONPATH", "")])
+    subprocess.run(
+        [sys.executable, "-c", code, str(data_dir / "fixture.tsv")],
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+        timeout=120,
+    )

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import pytest
 
+import ms2smiles.chem.perception as perception_module
+import ms2smiles.chem.rings as rings_module
 from ms2smiles.chem import (
     BondOrder,
     ChemError,
@@ -106,3 +108,19 @@ def test_perceive_is_idempotent_on_reparse(corpus):
         mol = perceive(parse_smiles(smiles))
         assert mol.hydrogens is not None
         assert sum(mol.hydrogens) >= 0
+
+
+def test_each_molecule_searches_its_ring_bonds_once(monkeypatch):
+    search = rings_module.ring_bond_indices
+    calls = []
+
+    def counted(mol):
+        calls.append(mol)
+        return search(mol)
+
+    monkeypatch.setattr(perception_module, "ring_bond_indices", counted)
+    monkeypatch.setattr(rings_module, "ring_bond_indices", counted)
+    for smiles in ("c1ccccc1O", "C1CCC2CCCCC2C1", "c1ccc2[nH]ccc2c1", "O=C1CCCC1.c1ccncc1"):
+        calls.clear()
+        mol = mol_from_smiles(smiles)
+        assert mol.ring_bonds and len(calls) == 1, smiles
