@@ -82,14 +82,13 @@ def labeled_adjacency(mol: Molecule) -> list[list[tuple[int, int]]]:
 
 def _atom_seed(mol: Molecule, i: int) -> tuple:
     atom = mol.atoms[i]
-    in_ring = any(bi in mol.ring_bonds for _, bi in mol.neighbors(i))
     return (
         atom.element,
         atom.charge,
         atom.isotope or 0,
         mol.hydrogens[i],
         mol.degree(i),
-        in_ring,
+        i in mol.ring_atoms,
         i in mol.aromatic_atoms,
     )
 

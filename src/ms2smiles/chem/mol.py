@@ -59,15 +59,16 @@ class Molecule:
     """Labeled molecular graph; possibly multi-component.
 
     After perception: ``hydrogens[i]`` is the total hydrogen count of atom i,
-    every bond order is single/double/triple, ``ring_bonds`` holds the indices
-    of cycle bonds, and ``aromatic_atoms``/``aromatic_bonds`` mark perceived
-    aromatic rings (the kekulized orders underneath are canonical).
+    every bond order is single/double/triple, ``ring_bonds``/``ring_atoms``
+    hold the cycle bonds and their atoms, and ``aromatic_atoms``/``aromatic_bonds``
+    mark perceived aromatic rings (the kekulized orders underneath are canonical).
     """
 
     atoms: list[Atom]
     bonds: list[Bond]
     hydrogens: list[int] | None = None
     ring_bonds: frozenset[int] = frozenset()
+    ring_atoms: frozenset[int] = frozenset()
     aromatic_atoms: frozenset[int] = frozenset()
     aromatic_bonds: frozenset[int] = frozenset()
     perceived: bool = False

@@ -39,6 +39,7 @@ def perceive(mol: Molecule) -> Molecule:
     atoms, bonds, collapsed = _collapse_hydrogens(mol)
     work = Molecule(atoms=atoms, bonds=bonds)
     ring_bonds = ring_bond_indices(work)
+    ring_atoms = frozenset(i for bi in ring_bonds for i in (bonds[bi].a, bonds[bi].b))
 
     orders: list[BondOrder | None] = []
     for bi, bond in enumerate(bonds):
@@ -57,6 +58,7 @@ def perceive(mol: Molecule) -> Molecule:
         bonds=[Bond(b.a, b.b, orders[bi]) for bi, b in enumerate(bonds)],
         hydrogens=hydrogens,
         ring_bonds=ring_bonds,
+        ring_atoms=ring_atoms,
     )
     arom_atoms, arom_bonds = _perceive_aromatic_rings(kekulized)
 
@@ -72,6 +74,7 @@ def perceive(mol: Molecule) -> Molecule:
         bonds=[Bond(b.a, b.b, final_orders[bi]) for bi, b in enumerate(bonds)],
         hydrogens=hydrogens,
         ring_bonds=ring_bonds,
+        ring_atoms=ring_atoms,
         aromatic_atoms=arom_atoms,
         aromatic_bonds=arom_bonds,
         perceived=True,
@@ -272,8 +275,7 @@ def _pi_contribution(mol: Molecule, i: int, double_to_ring: bool, any_multiple: 
 
 
 def _perceive_aromatic_rings(mol: Molecule) -> tuple[frozenset[int], frozenset[int]]:
-    ring_atoms = {a for bi in mol.ring_bonds for a in (mol.bonds[bi].a, mol.bonds[bi].b)}
-    if not ring_atoms:
+    if not mol.ring_atoms:
         return frozenset(), frozenset()
     double_to_ring = [False] * mol.n_atoms
     any_multiple = [False] * mol.n_atoms
@@ -281,7 +283,7 @@ def _perceive_aromatic_rings(mol: Molecule) -> tuple[frozenset[int], frozenset[i
         if bond.order in (BondOrder.DOUBLE, BondOrder.TRIPLE):
             any_multiple[bond.a] = True
             any_multiple[bond.b] = True
-            if bond.order == BondOrder.DOUBLE and bond.a in ring_atoms and bond.b in ring_atoms:
+            if bond.order == BondOrder.DOUBLE and bond.a in mol.ring_atoms and bond.b in mol.ring_atoms:
                 double_to_ring[bond.a] = True
                 double_to_ring[bond.b] = True
 

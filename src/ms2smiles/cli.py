@@ -26,7 +26,7 @@ from .gateway import (
     run_batch,
 )
 from .protocol import default_template, render_prompt
-from .similarity import mces
+from .similarity import DEFAULT_MCES_BUDGET, check_budget, mces
 
 EXIT_OK = 0
 EXIT_DATA = 1
@@ -41,7 +41,7 @@ class RunConfig:
     run_dir: str = "runs/default"
     split: str = "test"
     k: int = 10
-    mces_budget: float = 1.0
+    mces_budget: int = DEFAULT_MCES_BUDGET
     fp_radius: int = 2
     fp_nbits: int = 2048
     provider: str = "http"
@@ -58,7 +58,7 @@ _SETTINGS = {
     "run_dir": ("run_dir", "run directory for cache/transcripts/reports"),
     "split": ("split", "fold to process: " + ", ".join(SPLITS)),
     "k": ("k", "top-k cutoff, at least 1"),
-    "mces_budget": ("mces_budget", "seconds per MCES pair, above 0"),
+    "mces_budget": ("mces_budget", "count of search nodes per MCES pair, at least 1"),
     "fp_radius": ("fp_radius", "fingerprint radius"),
     "fp_nbits": ("fp_nbits", "fingerprint length"),
     "provider": ("provider", "'http' or 'mock:<dir>'"),
@@ -97,12 +97,19 @@ def load_config_file(path: str, config: RunConfig) -> None:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _SETTINGS:
             raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        target, attr = _target(config, key)
-        cast = type(getattr(target, attr))
         try:
-            setattr(target, attr, cast(value))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: {key} expects {cast.__name__}, got {value!r}") from None
+            setattr(*_target(config, key), _parse_value(key, value))
+        except argparse.ArgumentTypeError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def _parse_value(key: str, text: str):
+    """``text`` as the type of setting ``key``'s default."""
+    cast = type(getattr(*_target(RunConfig(), key)))
+    try:
+        return cast(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{key} expects {cast.__name__} ({_SETTINGS[key][1]}), got {text!r}") from None
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -116,8 +123,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             setattr(*_target(config, key), value)
     if config.k < 1:
         raise ValueError(f"k must be at least 1, got {config.k}")
-    if not config.mces_budget > 0:  # NaN fails this too
-        raise ValueError(f"mces_budget must be a positive number of seconds, got {config.mces_budget}")
+    check_budget(config.mces_budget)
     if config.split not in SPLITS:
         raise ValueError(f"split must be one of {', '.join(SPLITS)}, got {config.split!r}")
     return config
@@ -236,7 +242,7 @@ def _add_flag(parser: argparse.ArgumentParser, key: str, default=None) -> None:
     parser.add_argument(
         "--" + key.replace("_", "-"),
         dest=key,
-        type=type(value),
+        type=lambda text: _parse_value(key, text),
         default=default,
         help=f"{_SETTINGS[key][1]} (default: {value!r})",
     )

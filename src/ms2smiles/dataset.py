@@ -68,6 +68,10 @@ class AllZeroIntensities(ValueError):
     pass
 
 
+class NegativeIntensity(ValueError):
+    pass
+
+
 @dataclass(frozen=True)
 class PreparedMol:
     """A perceived molecule and its formula and DBE, shared through ``prepare``: read-only."""
@@ -134,7 +138,7 @@ class LoadResult:
 def normalize_intensities(raw: list[float]) -> list[float]:
     """Scale so the largest value is exactly 1.0."""
     if any(v < 0 for v in raw):
-        raise ValueError("negative intensity")
+        raise NegativeIntensity("negative intensity")
     peak = max(raw, default=0.0)
     if peak <= 0:
         raise AllZeroIntensities("all intensities are zero")
@@ -195,8 +199,8 @@ def _build_record(label: str, fields: dict, skipped: list) -> SpectrumRecord | N
     mzs, intensities = zip(*sorted(zip(mzs, intensities)))
     try:
         intensities = normalize_intensities(intensities)
-    except (AllZeroIntensities, ValueError):
-        skip("AllZeroIntensities")
+    except (AllZeroIntensities, NegativeIntensity) as exc:
+        skip(type(exc).__name__)
         return None
 
     smiles = str(fields.get("smiles", "")).strip()

@@ -24,7 +24,8 @@ two molecules' per-atom counts of incident bonds, paired off).  Any result
 of the candidate's search, truncated or not, is at least that floor and so
 could not lower the minimum.  Top-1 and top-k values are therefore those of
 searching every candidate, and ``mces_truncated`` flags a truncated search
-among those that ran.  ``k`` below 1 is rejected.
+among those that ran; a search stops after ``mces_budget`` nodes, never on
+a clock, so it truncates alike on every machine.  ``k`` below 1 is rejected.
 
 Ground truths and candidates repeat across records and runs, so every SMILES
 goes through ``dataset.prepare``: a per-process LRU memo of ``MEMO_SIZE``
@@ -53,7 +54,7 @@ from .chem import ChemError, canonical_smiles, mol_from_smiles, same_structure
 from .chem.formula import ElementCounts, canonical_formula, parse_formula
 from .dataset import MEMO_SIZE, WEIGHT_BIN_LABELS, PreparedMol, SpectrumRecord, prepare, weight_bin
 from .protocol import ParsedResponse, parse_response
-from .similarity import Fingerprint, McesResult, mces, mces_floor, morgan_fingerprint, tanimoto
+from .similarity import DEFAULT_MCES_BUDGET, Fingerprint, McesResult, mces, mces_floor, morgan_fingerprint, tanimoto
 
 
 class EmptyInput(ValueError):
@@ -100,7 +101,7 @@ def fingerprint(smiles: str, fp_radius: int, fp_nbits: int) -> Fingerprint:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def pair_mces(truth: str, candidate: str, budget: float) -> McesResult:
+def pair_mces(truth: str, candidate: str, budget: int) -> McesResult:
     """``mces`` of two valid SMILES, searched once per process, pair and budget."""
     return mces(prepare(truth).mol, prepare(candidate).mol, budget=budget)
 
@@ -122,7 +123,7 @@ def score_spectrum(
     parsed: ParsedResponse,
     k: int = 10,
     *,
-    mces_budget: float = 1.0,
+    mces_budget: int = DEFAULT_MCES_BUDGET,
     fp_radius: int = 2,
     fp_nbits: int = 2048,
 ) -> PerSpectrumMetrics:
@@ -379,7 +380,7 @@ def evaluate_one(
     transcript: str,
     k: int = 10,
     *,
-    mces_budget: float = 1.0,
+    mces_budget: int = DEFAULT_MCES_BUDGET,
     fp_radius: int = 2,
     fp_nbits: int = 2048,
 ) -> tuple[PerSpectrumMetrics, CotAudit]:
@@ -402,7 +403,7 @@ def evaluate_records(
     transcripts: Mapping[str, str],
     k: int = 10,
     *,
-    mces_budget: float = 1.0,
+    mces_budget: int = DEFAULT_MCES_BUDGET,
     fp_radius: int = 2,
     fp_nbits: int = 2048,
     workers: int = 1,

@@ -46,7 +46,7 @@ def morgan_fingerprint(mol: Molecule, radius: int = 2, nbits: int = 2048) -> Fin
             atom.charge,
             mol.degree(i),
             mol.hydrogens[i],
-            any(bi in mol.ring_bonds for _, bi in mol.neighbors(i)),
+            i in mol.ring_atoms,
         )
         for i, atom in enumerate(mol.atoms)
     ]

@@ -36,11 +36,11 @@ cheapest first:
 
 ``optimal=True`` means the lower bound met the upper bound, or the search
 finished, so the count is the maximum.  ``nodes`` counts the search nodes
-expanded, 0 when no search ran.  A wall-clock budget, a positive number of
-seconds, bounds each call: seeding checks the deadline once per seed and
-the search every 256 nodes.  On expiry the largest lower bound found so far
-is returned with ``optimal=False``: a lower bound on the common edge count,
-hence an upper bound on the dissimilarity.
+expanded, 0 when no search ran.  The budget counts search nodes; seeding is
+fixed work outside it.  A search that would expand a node past the budget
+stops with ``optimal=False`` and its largest lower bound: a lower bound on
+the common edge count, hence an upper bound on the dissimilarity.  No clock
+is read, so every result is a function of the molecules and the budget.
 
 Everything read from one molecule (labelled edges, per-atom bond masks and
 counts, environment codes) is built once and cached on the ``Molecule``.
@@ -51,7 +51,6 @@ allows, a lower bound on any ``mces`` result, without any search.
 from __future__ import annotations
 
 import itertools
-import time
 from collections import Counter
 from dataclasses import dataclass
 
@@ -60,6 +59,7 @@ from ..chem.mol import Molecule
 
 _SEEDS = 10
 _ENV_RADIUS = 4
+DEFAULT_MCES_BUDGET = 16384  # search nodes; the benchmark's certified pairs need at most 10 002
 
 
 @dataclass(frozen=True)
@@ -68,10 +68,6 @@ class McesResult:
     dissimilarity: float
     optimal: bool
     nodes: int = 0  # partition-search nodes expanded; 0 when no search ran
-
-
-class _Deadline(Exception):
-    pass
 
 
 @dataclass(frozen=True, slots=True)
@@ -88,13 +84,16 @@ class _Profile:
     env: list[tuple[int, ...]]  # environment codes at radius 0.._ENV_RADIUS
 
 
-def mces(a: Molecule, b: Molecule, budget: float = 1.0) -> McesResult:
-    """Largest label-compatible common edge subgraph of two molecules.
+def check_budget(budget: int) -> None:
+    """Raises ``ValueError`` unless ``budget`` is an int of at least 1."""
+    if type(budget) is not int or budget < 1:
+        raise ValueError(f"the MCES budget is a count of search nodes, an int of at least 1, got {budget!r}")
 
-    Raises ``ValueError`` unless ``budget`` is a positive number of seconds.
-    """
-    if not budget > 0:  # also rejects NaN, which no deadline comparison would reach
-        raise ValueError(f"MCES budget must be a positive number of seconds, got {budget}")
+
+def mces(a: Molecule, b: Molecule, budget: int = DEFAULT_MCES_BUDGET) -> McesResult:
+    """Largest label-compatible common edge subgraph of two molecules,
+    searched for at most ``budget`` nodes (see ``check_budget``)."""
+    check_budget(budget)
     a.require_perceived("MCES")
     b.require_perceived("MCES")
     n_ea, n_eb = a.n_bonds, b.n_bonds
@@ -120,20 +119,10 @@ def mces(a: Molecule, b: Molecule, budget: float = 1.0) -> McesResult:
     def result(common: int, optimal: bool, nodes: int = 0) -> McesResult:
         return McesResult(common, _dissim(common, max_e), optimal, nodes)
 
-    deadline = time.monotonic() + budget
-    best, expired = _seeded_lower_bound(pa, pb, upper, deadline)
-    best = max(best, 1)  # a single compatible edge pair is a common subgraph
+    best = max(_seeded_lower_bound(pa, pb, upper), 1)  # one compatible edge pair is common
     if best >= upper:
         return result(best, True)
-    if expired:
-        return result(best, False)
-
-    try:
-        common, nodes = _mcsplit(pa, pb, best, upper, deadline)
-    except _Deadline as exc:
-        common, nodes = exc.args
-        return result(common, False, nodes)
-    return result(common, True, nodes)
+    return result(*_mcsplit(pa, pb, best, upper, budget))
 
 
 def mces_floor(a: Molecule, b: Molecule) -> float:
@@ -231,10 +220,8 @@ def _degree_sequence_bound(pa: _Profile, pb: _Profile) -> int:
     return total // 2
 
 
-def _seeded_lower_bound(
-    pa: _Profile, pb: _Profile, upper: int, deadline: float
-) -> tuple[int, bool]:
-    """Best common edge count over the seeded mappings, and whether time ran out."""
+def _seeded_lower_bound(pa: _Profile, pb: _Profile, upper: int) -> int:
+    """Best common edge count over the seeded mappings."""
     env_a, env_b = pa.env, pb.env
     elem_a, elem_b = pa.elements, pb.elements
     nbrs_a, nbrs_b = pa.neighbors, pb.neighbors
@@ -292,8 +279,6 @@ def _seeded_lower_bound(
 
     best = 0
     for u0, v0 in seeds:
-        if time.monotonic() > deadline:
-            return best, True
         phi = [-1] * len(elem_a)
         used = [False] * len(elem_b)
         grow(u0, v0)
@@ -316,7 +301,7 @@ def _seeded_lower_bound(
         best = max(best, common)
         if best >= upper:
             break
-    return best, False
+    return best
 
 
 def _bits(mask: int):
@@ -328,8 +313,8 @@ def _bits(mask: int):
 
 
 def _mcsplit(
-    pa: _Profile, pb: _Profile, lower: int, upper: int, deadline: float
-) -> tuple[int, int]:
+    pa: _Profile, pb: _Profile, lower: int, upper: int, budget: int
+) -> tuple[int, bool, int]:
     """McSplit branch and bound over the bond line graphs.
 
     A class pairs the A-bonds and B-bonds that may still map to each other:
@@ -346,9 +331,9 @@ def _mcsplit(
     Branching takes the class with the smallest larger side, from it the
     lowest-indexed bond v of highest line-graph degree, maps v to each
     partner in ascending index, then leaves v unmapped.  Returns the
-    largest common edge count, at least ``lower``, and the nodes expanded;
-    stops at ``upper``.  Raises ``_Deadline(best, nodes)`` when the
-    deadline, read every 256 nodes, has passed.
+    largest common edge count, at least ``lower``, whether the search
+    finished (or reached ``upper``), and the nodes expanded.  A node past
+    the ``budget``-th is never expanded: the search stops unfinished.
     """
     edges_a, edges_b = pa.edges, pb.edges
     mask_a, mask_b = pa.bond_mask, pb.bond_mask
@@ -419,8 +404,6 @@ def _mcsplit(
         """One node, as a generator that yields each child worth a visit to the
         loop below, so depth (one level per A-bond) escapes the recursion limit."""
         nonlocal best, nodes
-        if nodes & 255 == 0 and time.monotonic() > deadline:
-            raise _Deadline(best, nodes)
         nodes += 1
         best = max(best, count)
         if best >= upper or not classes:
@@ -486,6 +469,8 @@ def _mcsplit(
         child = next(stack[-1], None)
         if child is None:
             stack.pop()
+        elif nodes == budget:
+            return best, False, nodes
         else:
             stack.append(search(*child))
-    return best, nodes
+    return best, True, nodes

@@ -24,7 +24,7 @@ from ms2smiles.cli import main
 from ms2smiles.dataset import SpectrumRecord
 from ms2smiles.evaluate import aggregate, evaluate_records, score_spectrum
 from ms2smiles.protocol import ParsedResponse, parse_response
-from ms2smiles.similarity import mces
+from ms2smiles.similarity import DEFAULT_MCES_BUDGET, mces
 
 from conftest import DATA_DIR, load_corpus
 from oracles import brute_force_mces
@@ -102,7 +102,7 @@ def test_criterion_05_mces_oracle_equivalence():
     pairs = [(rng.choice(small), rng.choice(small)) for _ in range(200)]
     for left, right in pairs:
         a, b = mol_from_smiles(left), mol_from_smiles(right)
-        result = mces(a, b, budget=30.0)
+        result = mces(a, b, budget=10**6)
         assert result.optimal, (left, right)
         expected = brute_force_mces(a, b)
         assert result.common_edges == expected, (left, right, result.common_edges, expected)
@@ -205,7 +205,7 @@ def test_criterion_09_metric_monotonicity_properties():
         parsed = ParsedResponse(raw="")
         parsed.candidates = candidates
         parsed.has_answer = bool(candidates)
-        per_k = [score_spectrum(records[gt], parsed, k=k, mces_budget=2.0) for k in (1, 2, 3, 5, 8, 10, 12, 16, 24, 32)]
+        per_k = [score_spectrum(records[gt], parsed, k=k, mces_budget=32768) for k in (1, 2, 3, 5, 8, 10, 12, 16, 24, 32)]
         for earlier, later in zip(per_k, per_k[1:]):
             assert later.mts_topk >= earlier.mts_topk
             assert later.mces_topk <= earlier.mces_topk
@@ -255,7 +255,7 @@ def test_criterion_10_throughput():
         )
 
     start = time.monotonic()
-    metrics, audits = evaluate_records(records, transcripts, k=10, mces_budget=1.0, workers=4)
+    metrics, audits = evaluate_records(records, transcripts, k=10, mces_budget=DEFAULT_MCES_BUDGET, workers=4)
     elapsed = time.monotonic() - start
     report = aggregate(metrics, audits, k=10)
     assert len(metrics) == 1000

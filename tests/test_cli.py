@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -286,15 +289,40 @@ def test_k_below_one_is_usage_error(tmp_path, capsys, k):
     assert main(["evaluate", "--config", str(config), "--run-dir", str(tmp_path)]) == 2
 
 
-@pytest.mark.parametrize("budget", ["nan", "0", "-1"])
+def _exit_code(argv: list[str]) -> int:
+    """``main``'s exit code, also when argparse rejects a flag value."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("budget", ["nan", "0", "-1", "0.5", "1.0"])
 def test_bad_mces_budget_is_usage_error(tmp_path, capsys, budget):
-    assert main(["evaluate", "--dataset", FIXTURE, "--run-dir", str(tmp_path), "--mces-budget", budget]) == 2
-    assert "mces_budget must be a positive number of seconds" in capsys.readouterr().err
     config = tmp_path / "bad.conf"
     config.write_text(f"dataset = {FIXTURE}\nmces_budget = {budget}\n", encoding="utf-8")
-    assert main(["evaluate", "--config", str(config), "--run-dir", str(tmp_path)]) == 2
-    assert main(["mces", "CCOC(=O)C", "CCOC(=O)CC", "--mces-budget", budget]) == 2
-    assert "positive number of seconds" in capsys.readouterr().err
+    for argv in (
+        ["evaluate", "--dataset", FIXTURE, "--run-dir", str(tmp_path), "--mces-budget", budget],
+        ["evaluate", "--config", str(config), "--run-dir", str(tmp_path)],
+        ["mces", "CCOC(=O)C", "CCOC(=O)CC", "--mces-budget", budget],
+    ):
+        assert _exit_code(argv) == 2, argv
+        assert "count of search nodes" in capsys.readouterr().err, argv
+
+
+def test_truncated_mces_output_does_not_depend_on_the_hash_seed():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outputs = []
+    for hash_seed in ("1", "2"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "ms2smiles.cli", "mces", "CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1",
+             "CCCCCCCCCc1ccc(O)cc1", "--mces-budget", "768"],
+            capture_output=True, text=True, check=True, timeout=120,
+            env=dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src),
+        )
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    assert "optimal: false\nnodes: 768\n" in outputs[0]
 
 
 def test_unknown_split_is_usage_error(tmp_path, capsys):

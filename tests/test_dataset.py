@@ -9,6 +9,7 @@ from ms2smiles.dataset import (
     AllZeroIntensities,
     FileUnreadable,
     HeaderMissing,
+    NegativeIntensity,
     NoValidRows,
     WEIGHT_BIN_LABELS,
     load_dataset,
@@ -62,6 +63,17 @@ def test_bad_rows_are_skipped_with_reasons(tmp_path):
     text = result.report_text()
     assert "skipped rows: 6" in text
     assert "LengthMismatch" in text
+
+
+def test_negative_intensity_has_its_own_reason(tmp_path):
+    rows = [
+        "ok\t10.0 20.0\t0.5 1.0\tCCO\tC2H6O\t[M+H]+\tQTOF\t20\ttest",
+        "neg\t10.0 20.0\t-1.0 1.0\tCCO\tC2H6O\t[M+H]+\tQTOF\t20\ttest",
+    ]
+    result = load_dataset(_write_tsv(tmp_path / "negative.tsv", rows))
+    assert [r.id for r in result.records] == ["ok"]
+    assert result.skipped == [("line 3", "NegativeIntensity")]
+    assert "NegativeIntensity: 1" in result.report_text()
 
 
 @pytest.mark.parametrize(
@@ -176,7 +188,7 @@ def test_normalize_intensities():
     assert normalize_intensities(already) == already
     with pytest.raises(AllZeroIntensities):
         normalize_intensities([0, 0])
-    with pytest.raises(ValueError):
+    with pytest.raises(NegativeIntensity):
         normalize_intensities([-1.0, 2.0])
 
 

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import csv
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +28,9 @@ from ms2smiles.evaluate import (
 )
 from ms2smiles.protocol import ParsedResponse, parse_response
 from ms2smiles.similarity import mces, mces_floor, morgan_fingerprint
+
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
 
 def make_record(smiles="CC(C)(C)N", formula=None, rid="r1"):
@@ -174,8 +179,8 @@ def test_screening_matches_searching_every_candidate(corpus, monkeypatch):
         candidates += rng.sample(candidates, min(len(candidates), rng.randint(0, 3)))
         rng.shuffle(candidates)
         k = rng.choice((1, 3, 10))
-        got = score_spectrum(make_record(truth, rid=f"s{i}"), response(candidates), k, mces_budget=10.0)
-        top1, topk, truncated, searches = _mces_searching_every_candidate(truth, candidates, k, 10.0)
+        got = score_spectrum(make_record(truth, rid=f"s{i}"), response(candidates), k, mces_budget=10**6)
+        top1, topk, truncated, searches = _mces_searching_every_candidate(truth, candidates, k, 10**6)
         reference_searches += searches
         assert (got.mces_top1, got.mces_topk) == (top1, topk)
         assert truncated or not got.mces_truncated
@@ -370,6 +375,21 @@ def test_pair_memo_searches_each_pair_once(monkeypatch):
         pair_mces.cache_clear()
         fresh.append(evaluate_one(record, transcripts[record.id]))
     assert memoized == ([m for m, _ in fresh], [a for _, a in fresh])
+
+
+def test_truncated_scores_do_not_depend_on_the_worker_count():
+    # ``bench/data/large_library.tsv`` slots 7 and 9, the two decoys that
+    # truncate at every budget tried; a small budget keeps this quick.
+    with open(BENCH_DATA / "large_library.tsv", newline="", encoding="utf-8") as fh:
+        rows = [row for row in csv.DictReader(fh, delimiter="\t") if row["slot"] in ("7", "9")]
+    records = [make_record(row["ground_truth"], rid=f"slot{row['slot']}") for row in rows]
+    transcripts = {r.id: f"<answer>{row['candidate']}</answer>" for r, row in zip(records, rows)}
+    runs = []
+    for workers in (1, 2, 1):
+        pair_mces.cache_clear()  # forked workers would inherit the parent's results
+        runs.append(evaluate_records(records, transcripts, mces_budget=512, workers=workers))
+    assert runs[0] == runs[1] == runs[2]
+    assert [m.mces_truncated for m in runs[0][0]] == [True, True]
 
 
 def test_memoized_failures_stay_failures():

@@ -10,14 +10,13 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
 import ms2smiles
 from ms2smiles.chem import canonical_formula, mol_from_smiles, molecular_formula, write_smiles
 from ms2smiles.chem.mol import Molecule
-from ms2smiles.similarity import McesResult, mces, mces_floor
+from ms2smiles.similarity import DEFAULT_MCES_BUDGET, McesResult, mces, mces_floor
 
 from oracles import brute_force_mces, seeded_lower_bound_all_pairs
 
@@ -67,7 +66,7 @@ def test_oracle_equivalence_sample(corpus):
     for _ in range(40):
         a = mol_from_smiles(rng.choice(small))
         b = mol_from_smiles(rng.choice(small))
-        got = mces(a, b, budget=10.0)
+        got = mces(a, b, budget=10**6)
         assert got.optimal
         assert got.common_edges == brute_force_mces(a, b)
 
@@ -83,7 +82,7 @@ def test_kekulized_vs_aromatic_same_molecule_is_zero():
 def test_removing_an_edge_never_helps():
     base = mol_from_smiles("CC(C)c1ccc(O)cc1")
     other = mol_from_smiles("CCCc1ccc(N)cc1")
-    full = mces(base, other, budget=10.0).common_edges
+    full = mces(base, other, budget=10**6).common_edges
     for drop in range(base.n_bonds):
         bonds = [b for i, b in enumerate(base.bonds) if i != drop]
         smaller = Molecule(
@@ -94,14 +93,17 @@ def test_removing_an_edge_never_helps():
             aromatic_atoms=base.aromatic_atoms,
             perceived=True,
         )
-        assert mces(smaller, other, budget=10.0).common_edges <= full
+        assert mces(smaller, other, budget=10**6).common_edges <= full
+
+
+# The search needs 3210 nodes to prove 13 common edges; seeding finds 12.
+TERT_BUTYL_VS_NONYLPHENOL = ("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1", "CCCCCCCCCc1ccc(O)cc1")
 
 
 def test_budget_truncation_yields_lower_bound():
-    a = mol_from_smiles("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1")
-    b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
-    quick = mces(a, b, budget=0.02)
-    slow = mces(a, b, budget=0.2)
+    a, b = (mol_from_smiles(s) for s in TERT_BUTYL_VS_NONYLPHENOL)
+    quick = mces(a, b, budget=64)
+    slow = mces(a, b, budget=4096)
     assert mces_floor(a, b) <= quick.dissimilarity
     assert quick.common_edges <= slow.common_edges
     assert quick.common_edges <= min(a.n_bonds, b.n_bonds)
@@ -115,57 +117,25 @@ def test_result_bounds(corpus):
     for _ in range(20):
         a = mol_from_smiles(rng.choice(corpus))
         b = mol_from_smiles(rng.choice(corpus))
-        r = mces(a, b, budget=0.3)
+        r = mces(a, b, budget=4096)
         assert 0.0 <= mces_floor(a, b) <= r.dissimilarity <= 1.0
         assert r.common_edges <= min(a.n_bonds, b.n_bonds)
 
 
-class FakeClock:
-    """``time.monotonic`` stand-in that advances ``step`` seconds per reading."""
-
-    def __init__(self, step: float = 0.0):
-        self.now = 0.0
-        self.step = step
-        self.readings = 0
-
-    def __call__(self) -> float:
-        now = self.now
-        self.now += self.step
-        self.readings += 1
-        return now
-
-
-def test_deadline_in_search_returns_best_lower_bound(monkeypatch):
-    a = mol_from_smiles("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1")
-    b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
+def test_node_budget_in_search_returns_best_lower_bound():
+    a, b = (mol_from_smiles(s) for s in TERT_BUTYL_VS_NONYLPHENOL)
     pa, pb = mces_module._profile(a), mces_module._profile(b)
-    seeded, _ = mces_module._seeded_lower_bound(pa, pb, a.n_bonds, math.inf)
+    seeded = mces_module._seeded_lower_bound(pa, pb, a.n_bonds)
     assert seeded < mces_module._degree_sequence_bound(pa, pb)
-
-    clock = FakeClock()
-    search = mces_module._mcsplit
-
-    def search_past_the_deadline(pa, pb, lower, upper, deadline):
-        clock.now = deadline + 1.0  # the bounds are in; time runs out here
-        readings = clock.readings
-        try:
-            return search(pa, pb, lower, upper, deadline)
-        finally:
-            assert clock.readings == readings + 1, "the search ran after the deadline"
-
-    monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
-    monkeypatch.setattr(mces_module, "_mcsplit", search_past_the_deadline)
-    result = mces(a, b, budget=1.0)
-    assert result == mces_module.McesResult(seeded, 1 - seeded / a.n_bonds, False)
+    # The root maps no bond, so a one-node search returns the seeded bound.
+    assert mces(a, b, budget=1) == McesResult(seeded, 1 - seeded / a.n_bonds, False, 1)
 
 
 def _bound_chain(a, b) -> tuple[int, int]:
     """Seeded lower bound and the degree-sequence upper bound."""
     pa, pb = mces_module._profile(a), mces_module._profile(b)
     no_cap = a.n_bonds + b.n_bonds + 1
-    seeded, expired = mces_module._seeded_lower_bound(pa, pb, no_cap, math.inf)
-    assert not expired
-    return seeded, mces_module._degree_sequence_bound(pa, pb)
+    return mces_module._seeded_lower_bound(pa, pb, no_cap), mces_module._degree_sequence_bound(pa, pb)
 
 
 def _shared_label_count(a, b) -> int:
@@ -190,7 +160,7 @@ def test_bounds_bracket_the_oracle(corpus):
         exact = brute_force_mces(a, b)
         assert seeded <= exact <= degree <= label, (sa, sb)
         assert (degree == 0) == (label == 0), (sa, sb)
-        result = mces(a, b, budget=10.0)
+        result = mces(a, b, budget=10**6)
         assert result.optimal and result.common_edges == exact
         assert mces_floor(a, b) <= result.dissimilarity
 
@@ -211,8 +181,8 @@ def test_search_equals_the_oracle(corpus):
     for sa, sb in pairs:
         a, b = mol_from_smiles(sa), mol_from_smiles(sb)
         pa, pb = mces_module._profile(a), mces_module._profile(b)
-        found, _ = mces_module._mcsplit(pa, pb, 0, a.n_bonds + b.n_bonds, math.inf)
-        assert found == brute_force_mces(a, b), (sa, sb)
+        found, finished, _ = mces_module._mcsplit(pa, pb, 0, a.n_bonds + b.n_bonds, 10**6)
+        assert finished and found == brute_force_mces(a, b), (sa, sb)
 
 
 STEROID_ANALOG = (
@@ -246,61 +216,56 @@ def test_large_analogs_are_certified_without_search(monkeypatch, pair, common):
     assert (result.nodes == 0) == seeded_to_the_bound
 
 
-def test_deadline_in_seeding_stops_before_the_product(monkeypatch):
-    a = mol_from_smiles("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1")
-    b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
+def test_seeding_runs_every_seed_whatever_the_budget(monkeypatch):
+    # Seeding is fixed work outside the node budget: a pair the seeds
+    # certify expands no node, and one node still gets every seed's bound.
+    a, b = (mol_from_smiles(s) for s in PEPTIDE_ANALOG)
+    assert mces(a, b, budget=1) == McesResult(58, 1 - 58 / max(a.n_bonds, b.n_bonds), True, 0)
+
+    a, b = (mol_from_smiles(s) for s in TERT_BUTYL_VS_NONYLPHENOL)
     pa, pb = mces_module._profile(a), mces_module._profile(b)
     upper = mces_module._degree_sequence_bound(pa, pb)
+    every_seed = mces_module._seeded_lower_bound(pa, pb, upper)
     monkeypatch.setattr(mces_module, "_SEEDS", 1)
-    one_seed, _ = mces_module._seeded_lower_bound(pa, pb, upper, math.inf)
-    monkeypatch.setattr(mces_module, "_SEEDS", 10)
-    assert 1 <= one_seed < upper
-
-    def no_search(*args):
-        raise AssertionError("the search ran after the deadline")
-
-    # Readings: 0 s sets the deadline at 1.5 s, the first seed reads 1 s and
-    # runs, the second reads 2 s and stops.
-    clock = FakeClock(step=1.0)
-    monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
-    monkeypatch.setattr(mces_module, "_mcsplit", no_search)
-    result = mces(a, b, budget=1.5)
-    assert result == mces_module.McesResult(one_seed, 1 - one_seed / a.n_bonds, False)
-    assert clock.readings == 3
+    assert mces_module._seeded_lower_bound(pa, pb, upper) < every_seed
+    monkeypatch.undo()
+    assert mces(a, b, budget=1).common_edges == every_seed
 
 
-def test_search_reads_the_clock_every_256_nodes(monkeypatch):
-    a = mol_from_smiles("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1")
-    b = mol_from_smiles("CCCCCCCCCc1ccc(O)cc1")
+def test_search_stops_at_exactly_the_node_budget():
+    a, b = (mol_from_smiles(s) for s in TERT_BUTYL_VS_NONYLPHENOL)
     pa, pb = mces_module._profile(a), mces_module._profile(b)
-    seeded, _ = mces_module._seeded_lower_bound(pa, pb, a.n_bonds, math.inf)
+    seeded = mces_module._seeded_lower_bound(pa, pb, a.n_bonds)
     upper = mces_module._degree_sequence_bound(pa, pb)
-    clock = FakeClock()
-    monkeypatch.setattr(mces_module, "time", SimpleNamespace(monotonic=clock))
-    full, full_nodes = mces_module._mcsplit(pa, pb, seeded, upper, math.inf)
-    assert clock.readings > 4 and full < upper  # the whole search reads the clock more often
-    assert full_nodes > 768
+    full, finished, full_nodes = mces_module._mcsplit(pa, pb, seeded, upper, 10**6)
+    assert finished and full < upper and full_nodes > 768
 
-    # Readings at nodes 0, 256, 512 and 768 return 0, 1, 2 and 3 seconds.
-    clock.now, clock.step, clock.readings = 0.0, 1.0, 0
-    with pytest.raises(mces_module._Deadline) as stopped:
-        mces_module._mcsplit(pa, pb, seeded, upper, 2.5)
-    assert clock.readings == 4
-    found, nodes = stopped.value.args
+    found, finished, nodes = mces_module._mcsplit(pa, pb, seeded, upper, 768)
+    assert not finished and nodes == 768
     assert seeded <= found <= full
-    assert nodes == 768
+    assert mces(a, b, budget=768) == McesResult(found, 1 - found / a.n_bonds, False, 768)
+    # The search that needs exactly the budget finishes; one node less does not.
+    assert mces(a, b, budget=full_nodes) == McesResult(full, 1 - full / a.n_bonds, True, full_nodes)
+    assert not mces(a, b, budget=full_nodes - 1).optimal
 
-    # Through ``mces``: the bounds read 0 s, then the search reads as above.
-    search = mces_module._mcsplit
 
-    def search_on_a_ticking_clock(*args):
-        clock.now, clock.step, clock.readings = 0.0, 1.0, 0
-        return search(*args)
-
-    clock.now, clock.step = 0.0, 0.0
-    monkeypatch.setattr(mces_module, "_mcsplit", search_on_a_ticking_clock)
-    assert mces(a, b, budget=2.5) == mces_module.McesResult(found, 1 - found / a.n_bonds, False, 768)
-    assert clock.readings == 4
+def test_common_edges_never_decrease_as_the_budget_grows(corpus):
+    rng = random.Random(47)
+    pairs = [tuple(map(mol_from_smiles, TERT_BUTYL_VS_NONYLPHENOL))]
+    while len(pairs) < 5:  # corpus pairs that the bounds leave to the search
+        a, b = (mol_from_smiles(rng.choice(corpus)) for _ in range(2))
+        if mces(a, b, budget=10**6).nodes > 16:
+            pairs.append((a, b))
+    truncated = 0
+    for a, b in pairs:
+        results = [mces(a, b, budget=4**e) for e in range(8)]
+        truncated += sum(not r.optimal for r in results)
+        for smaller, larger in zip(results, results[1:]):
+            assert smaller.common_edges <= larger.common_edges
+            assert smaller.nodes <= larger.nodes
+            if smaller.optimal:
+                assert larger == smaller
+    assert truncated >= len(pairs)
 
 
 # ``bench/data/large_library.tsv`` slots 5 and 10: unrelated decoys of the
@@ -323,7 +288,7 @@ DECOY_NODES = {LIPID_VS_GLYCOSIDE: 10_002, GLYCOSIDE_VS_STEROID: 2_367}
 @pytest.mark.parametrize(("pair", "common"), [(LIPID_VS_GLYCOSIDE, 18), (GLYCOSIDE_VS_STEROID, 22)])
 def test_decoy_pairs_are_certified(pair, common):
     a, b = (mol_from_smiles(s) for s in pair)
-    result = mces(a, b, budget=30.0)
+    result = mces(a, b)  # the default budget certifies both
     assert result.optimal
     assert result.common_edges == common
     assert result.nodes == DECOY_NODES[pair]
@@ -337,7 +302,7 @@ smiles = sys.stdin.read().split()
 for sa, sb in zip(smiles[::2], smiles[1::2]):
     pa = mces_module._profile(mol_from_smiles(sa))
     pb = mces_module._profile(mol_from_smiles(sb))
-    print(mces_module._seeded_lower_bound(pa, pb, 10**6, math.inf), pa.env[:3])
+    print(mces_module._seeded_lower_bound(pa, pb, 10**6), pa.env[:3])
 """
 
 
@@ -362,10 +327,10 @@ def test_seeding_does_not_depend_on_the_hash_seed(corpus):
     assert len(outputs[0].splitlines()) == len(smiles) // 2
 
 
-@pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0])
+@pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0, 0, -1, 1.0, 0.5, True, "16"])
 def test_budget_must_be_positive(budget):
     a, b = mol_from_smiles("CCOC(=O)C"), mol_from_smiles("CCOC(=O)CC")
-    with pytest.raises(ValueError, match="positive number of seconds"):
+    with pytest.raises(ValueError, match="count of search nodes, an int of at least 1"):
         mces(a, b, budget=budget)
 
 
@@ -381,7 +346,7 @@ def test_reference_pairs_keep_their_certified_values():
         for smiles in (row["ground_truth"], row["candidate"]):
             if smiles not in mols:
                 mols[smiles] = mol_from_smiles(smiles)
-        result = mces(mols[row["ground_truth"]], mols[row["candidate"]], budget=10.0)
+        result = mces(mols[row["ground_truth"]], mols[row["candidate"]])  # the default budget
         assert result.optimal, row
         assert result.dissimilarity == float(row["mces"]), row
 
@@ -399,7 +364,20 @@ def test_seeding_equals_the_all_pairs_ranking(corpus):
         pa, pb = (mces_module._profile(mol_from_smiles(s)) for s in (sa, sb))
         for upper in (10**6, mces_module._degree_sequence_bound(pa, pb)):
             expected = seeded_lower_bound_all_pairs(pa, pb, upper, mces_module._SEEDS)
-            assert mces_module._seeded_lower_bound(pa, pb, upper, math.inf) == (expected, False), (sa, sb)
+            assert mces_module._seeded_lower_bound(pa, pb, upper) == expected, (sa, sb)
+
+
+# Common edges per large-library slot at the default budget.  Slots 7 and 9
+# stop at the budget; their values are the same from 2**11 to 2**17 nodes.
+LIBRARY_COMMON_EDGES = [7, 6, 17, 14, 40, 18, 55, 27, 58, 34, 22]
+
+
+def test_library_at_the_default_budget():
+    for slot, pair in enumerate(_library_pairs()):
+        result = mces(*map(mol_from_smiles, pair))
+        assert result.common_edges == LIBRARY_COMMON_EDGES[slot], slot
+        assert result.optimal == (slot not in (7, 9)), slot
+        assert result.optimal or result.nodes == DEFAULT_MCES_BUDGET
 
 
 def test_identity_check_keeps_the_values(corpus, monkeypatch):
@@ -439,5 +417,5 @@ def test_identity_check_keeps_the_values(corpus, monkeypatch):
     assert len(pairs) > 20
     for sa, sb in pairs:
         a, b = mol_from_smiles(sa), mol_from_smiles(sb)
-        got = mces(a, b, budget=10.0)
+        got = mces(a, b, budget=10**6)
         assert got.optimal and got.common_edges == brute_force_mces(a, b), (sa, sb)
