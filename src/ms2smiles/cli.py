@@ -265,7 +265,10 @@ def main(argv: list[str] | None = None) -> int:
     p_mces.add_argument("smiles_b")
     _add_flag(p_mces, "mces_budget", default=RunConfig.mces_budget)
 
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error and 0 after --help
+        return exc.code
     if args.command == "mces":
         return cmd_mces(args)
 

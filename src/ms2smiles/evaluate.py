@@ -54,7 +54,7 @@ from .chem import ChemError, canonical_smiles, mol_from_smiles, same_structure
 from .chem.formula import ElementCounts, canonical_formula, parse_formula
 from .dataset import MEMO_SIZE, WEIGHT_BIN_LABELS, PreparedMol, SpectrumRecord, prepare, weight_bin
 from .protocol import ParsedResponse, parse_response
-from .similarity import DEFAULT_MCES_BUDGET, Fingerprint, McesResult, mces, mces_floor, morgan_fingerprint, tanimoto
+from .similarity import DEFAULT_MCES_BUDGET, Fingerprint, McesResult, check_budget, mces, mces_floor, morgan_fingerprint, tanimoto
 
 
 class EmptyInput(ValueError):
@@ -128,6 +128,7 @@ def score_spectrum(
     fp_nbits: int = 2048,
 ) -> PerSpectrumMetrics:
     _check_k(k)
+    check_budget(mces_budget)
     gt = _prepare_truth(record)
     gt_fp = fingerprint(record.ground_truth, fp_radius, fp_nbits)
 
@@ -410,6 +411,7 @@ def evaluate_records(
 ) -> tuple[list[PerSpectrumMetrics], list[CotAudit]]:
     """Score every record against its transcript (missing means empty)."""
     _check_k(k)
+    check_budget(mces_budget)
     tasks = [
         (record, transcripts.get(record.id, ""), k, mces_budget, fp_radius, fp_nbits)
         for record in records

@@ -32,7 +32,12 @@ cheapest first:
    Mapping a bond also maps its atoms, so every result is an injective,
    element-preserving atom map (which rules out the triangle/star
    line-graph ambiguity).  It runs from the lower bound and stops at the
-   upper one.
+   upper one.  Mapping a bond v to a partner w moves only the bonds at
+   their atoms to new classes, so before building the child the search
+   bounds it from bit counts: a class with nL and nR unmoved and mL and mR
+   moved bonds keeps at most min(nL, nR) + min(mL, mR) pairs.  A partner
+   whose bound cannot beat the best count is skipped unbuilt; the bound is
+   never below the built child's, so the search tree is unchanged.
 
 ``optimal=True`` means the lower bound met the upper bound, or the search
 finished, so the count is the maximum.  ``nodes`` counts the search nodes
@@ -304,12 +309,84 @@ def _seeded_lower_bound(pa: _Profile, pb: _Profile, upper: int) -> int:
     return best
 
 
-def _bits(mask: int):
-    """The set bits of ``mask``, lowest first, each as a one-bit int."""
-    while mask:
-        bit = mask & -mask
-        yield bit
-        mask ^= bit
+def _bit_count_bound(terms: list[tuple[int, int, int, int]], hit_b: int) -> int:
+    """At most what mapping v to a partner adds to the common edge count:
+    the pair itself, the bonds that then map for free, and the child's sum
+    of min(|A|, |B|).  It reads bit counts only, so it runs before a split.
+
+    ``terms`` holds (B-mask, unmoved |A|, |B|, moved |A|) per class of the
+    node; the moved A-bonds are those in ``hit_a``, at the atoms that the
+    mapping re-tokens, and ``hit_b`` is the partner's B side.  A class with
+    nL and nR unmoved and mL and mR moved bonds splits into one class of
+    the unmoved bonds and groups of the moved ones, and the groups pair off
+    at most min(mL, mR) bonds, free ones included: it gives at most
+    min(nL, nR) + min(mL, mR).  v and its partner are moved bonds of one
+    class, so that class's share covers the mapped pair too.
+    """
+    total = 0
+    for right, n_left, n_right, moved_left in terms:
+        moved_right = (right & hit_b).bit_count()
+        n_right -= moved_right
+        total += (n_left if n_left < n_right else n_right) + (
+            moved_left if moved_left < moved_right else moved_right
+        )
+    return total
+
+
+def _split(
+    classes: list, tok_a: list[int], tok_b: list[int], hit_a: int, hit_b: int,
+    ends_a: list[tuple[int, int, bool]], ends_b: list[tuple[int, int, bool]], nb: int,
+) -> tuple[list, int, int]:
+    """The classes after a mapping that re-tokened the atoms whose bonds
+    are ``hit_a`` and ``hit_b``, the bonds that map for free, and the sum
+    of min(|A|, |B|).  Every class passed in has both sides non-empty."""
+    out = []
+    free = bound = 0
+    for cls in classes:
+        left, right, n_left, n_right = cls
+        moved_left, moved_right = left & hit_a, right & hit_b
+        if not (moved_left or moved_right):
+            out.append(cls)
+            bound += n_left if n_left < n_right else n_right
+            continue
+        # Unchanged bonds keep their class, first; no changed key is (-1, -1).
+        keep_left, keep_right = left ^ moved_left, right ^ moved_right
+        if keep_left and keep_right:
+            n_left -= moved_left.bit_count()
+            n_right -= moved_right.bit_count()
+            out.append((keep_left, keep_right, n_left, n_right))
+            bound += n_left if n_left < n_right else n_right
+        # The changed bonds group by the tokens at their ends, sorted for
+        # a homonuclear bond, whose ends are interchangeable.
+        groups: dict[tuple[int, int], int] = {}
+        while moved_left:
+            bit = moved_left & -moved_left
+            moved_left ^= bit
+            s, t, homo = ends_a[bit.bit_length() - 1]
+            x, y = tok_a[s], tok_a[t]
+            k = (y, x) if homo and x > y else (x, y)
+            groups[k] = groups.get(k, 0) | bit
+        partners: dict[tuple[int, int], int] = {}
+        while moved_right:
+            bit = moved_right & -moved_right
+            moved_right ^= bit
+            s, t, homo = ends_b[bit.bit_length() - 1]
+            x, y = tok_b[s], tok_b[t]
+            k = (y, x) if homo and x > y else (x, y)
+            if k in groups:
+                partners[k] = partners.get(k, 0) | bit
+        for k, group_left in groups.items():
+            group_right = partners.get(k)
+            if group_right is None:
+                continue
+            x, y = k
+            if 0 <= x < nb and 0 <= y < nb:
+                free += 1  # both ends fixed: the image bond is the only match
+            else:
+                n_left, n_right = group_left.bit_count(), group_right.bit_count()
+                out.append((group_left, group_right, n_left, n_right))
+                bound += n_left if n_left < n_right else n_right
+    return out, free, bound
 
 
 def _mcsplit(
@@ -327,6 +404,14 @@ def _mcsplit(
     refine, so the mapped count plus the sum over classes of min(|A|, |B|)
     bounds every extension.  Mapping a bond changes the tokens of at most
     four atoms, so only the classes holding a bond at one of them split.
+    One pair of token lists serves the whole search: a mapping writes its
+    tokens before its subtree runs and restores them after.
+
+    A child is built (``_split``) only if ``_bit_count_bound``, read from
+    the node's classes and the two hit masks alone, leaves it room to beat
+    the best count.  That bound is never below the child's own, so the
+    search yields the same children, in the same order, as one that splits
+    every partner; it only skips building those that would be pruned.
 
     Branching takes the class with the smallest larger side, from it the
     lowest-indexed bond v of highest line-graph degree, maps v to each
@@ -345,62 +430,12 @@ def _mcsplit(
     degree_masks = [by_degree[d] for d in sorted(by_degree, reverse=True)]
     ends_a = [(s, t, e1 == e2) for s, t, ((e1, e2), _) in edges_a]
     ends_b = [(s, t, e1 == e2) for s, t, ((e1, e2), _) in edges_b]
+    tok_a, tok_b = [-1] * len(pa.elements), [-1] * nb
+    split, bit_count_bound = _split, _bit_count_bound
     best = lower
     nodes = 0
 
-    def split(classes: list, tok_a: list[int], tok_b: list[int], hit_a: int, hit_b: int):
-        """The classes after a mapping that re-tokened the atoms whose bonds
-        are ``hit_a`` and ``hit_b``, the bonds that map for free, and the sum
-        of min(|A|, |B|).  Every class passed in has both sides non-empty."""
-        out = []
-        free = bound = 0
-        for cls in classes:
-            left, right, n_left, n_right = cls
-            moved_left, moved_right = left & hit_a, right & hit_b
-            if not (moved_left or moved_right):
-                out.append(cls)
-                bound += n_left if n_left < n_right else n_right
-                continue
-            # Unchanged bonds keep their class, first; no changed key is (-1, -1).
-            keep_left, keep_right = left ^ moved_left, right ^ moved_right
-            if keep_left and keep_right:
-                n_left -= moved_left.bit_count()
-                n_right -= moved_right.bit_count()
-                out.append((keep_left, keep_right, n_left, n_right))
-                bound += n_left if n_left < n_right else n_right
-            # The changed bonds group by the tokens at their ends, sorted for
-            # a homonuclear bond, whose ends are interchangeable.
-            groups: dict[tuple[int, int], int] = {}
-            while moved_left:
-                bit = moved_left & -moved_left
-                moved_left ^= bit
-                s, t, homo = ends_a[bit.bit_length() - 1]
-                x, y = tok_a[s], tok_a[t]
-                k = (y, x) if homo and x > y else (x, y)
-                groups[k] = groups.get(k, 0) | bit
-            partners: dict[tuple[int, int], int] = {}
-            while moved_right:
-                bit = moved_right & -moved_right
-                moved_right ^= bit
-                s, t, homo = ends_b[bit.bit_length() - 1]
-                x, y = tok_b[s], tok_b[t]
-                k = (y, x) if homo and x > y else (x, y)
-                if k in groups:
-                    partners[k] = partners.get(k, 0) | bit
-            for k, group_left in groups.items():
-                group_right = partners.get(k)
-                if group_right is None:
-                    continue
-                x, y = k
-                if 0 <= x < nb and 0 <= y < nb:
-                    free += 1  # both ends fixed: the image bond is the only match
-                else:
-                    n_left, n_right = group_left.bit_count(), group_right.bit_count()
-                    out.append((group_left, group_right, n_left, n_right))
-                    bound += n_left if n_left < n_right else n_right
-        return out, free, bound
-
-    def search(classes: list, tok_a: list[int], tok_b: list[int], count: int, bound: int):
+    def search(classes: list, count: int, bound: int):
         """One node, as a generator that yields each child worth a visit to the
         loop below, so depth (one level per A-bond) escapes the recursion limit."""
         nonlocal best, nodes
@@ -421,36 +456,52 @@ def _mcsplit(
                 break
         bit_v = top & -top
         v = bit_v.bit_length() - 1
-        s, t, ((e1, e2), _) = edges_a[v]
+        s, t, homo = ends_a[v]
         rest = left ^ bit_v
-        for bit_w in _bits(right):
-            s2, t2, _ = edges_b[bit_w.bit_length() - 1]
-            child_a, child_b = tok_a[:], tok_b[:]
-            if e1 == e2 and tok_a[s] == tok_a[t] == -1:
-                child_a[s] = child_a[t] = child_b[s2] = child_b[t2] = nb + v
-                hit_a, hit_b = mask_a[s] | mask_a[t], mask_b[s2] | mask_b[t2]
+        # Every partner re-tokens the same A-atoms: both ends of an unoriented
+        # homonuclear v, else its ends that are not fixed.  So hit_a is one
+        # mask per node, and v is in it (a bond with both ends fixed maps for
+        # free and leaves the classes).
+        fresh = homo and tok_a[s] == tok_a[t] == -1
+        open_s, open_t = not 0 <= tok_a[s] < nb, not 0 <= tok_a[t] < nb
+        hit_a = (mask_a[s] if open_s else 0) | (mask_a[t] if open_t else 0)
+        # The A side of the bit-count bound is the same for every partner.
+        terms = []
+        for class_left, class_right, n_class_left, n_class_right in classes:
+            moved = (class_left & hit_a).bit_count()
+            terms.append((class_right, n_class_left - moved, n_class_right, moved))
+        todo = right
+        while todo:
+            bit_w = todo & -todo
+            todo ^= bit_w
+            s2, t2, _ = ends_b[bit_w.bit_length() - 1]
+            if homo and not fresh and tok_a[s] != tok_b[s2]:
+                s2, t2 = t2, s2
+            hit_b = (mask_b[s2] if open_s else 0) | (mask_b[t2] if open_t else 0)
+            if count + bit_count_bound(terms, hit_b) <= best:
+                continue  # the split below could only prune this child too
+            undo = tok_a[s], tok_a[t], tok_b[s2], tok_b[t2]
+            if fresh:
+                tok_a[s] = tok_a[t] = tok_b[s2] = tok_b[t2] = nb + v
             else:
-                if e1 == e2 and tok_a[s] != tok_b[s2]:
-                    s2, t2 = t2, s2
-                hit_a = hit_b = 0
-                for x, y in ((s, s2), (t, t2)):
-                    if not 0 <= tok_a[x] < nb:
-                        child_a[x] = child_b[y] = y
-                        hit_a |= mask_a[x]
-                        hit_b |= mask_b[y]
+                if open_s:
+                    tok_a[s] = tok_b[s2] = s2
+                if open_t:
+                    tok_a[t] = tok_b[t2] = t2
             kept = [(rest, right ^ bit_w, n_left - 1, n_right - 1)] if rest and right != bit_w else []
             children, free, child_bound = split(
-                before + kept + after, child_a, child_b, hit_a, hit_b
+                before + kept + after, tok_a, tok_b, hit_a, hit_b, ends_a, ends_b, nb
             )
             if count + 1 + free + child_bound > best:
-                yield children, child_a, child_b, count + 1 + free, child_bound
+                yield children, count + 1 + free, child_bound
+            tok_a[s], tok_a[t], tok_b[s2], tok_b[t2] = undo
             if best >= upper:
                 return
         # Leave v unmapped: its class loses one A-bond.
         bound -= n_left <= n_right
         if count + bound > best:
             kept = [(rest, right, n_left - 1, n_right)] if rest else []
-            yield before + kept + after, tok_a, tok_b, count, bound
+            yield before + kept + after, count, bound
 
     by_label: dict[tuple, list[int]] = {}
     for i, (_, _, label) in enumerate(edges_a):
@@ -464,7 +515,7 @@ def _mcsplit(
         if right
     ]
     bound = sum(min(n_left, n_right) for _, _, n_left, n_right in classes)
-    stack = [search(classes, [-1] * len(pa.elements), [-1] * nb, 0, bound)]
+    stack = [search(classes, 0, bound)]
     while stack:
         child = next(stack[-1], None)
         if child is None:

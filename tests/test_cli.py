@@ -272,12 +272,16 @@ def test_every_setting_round_trips_through_file_and_flag(tmp_path, monkeypatch, 
 
 
 def test_run_help_lists_every_setting(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["run", "--help"])
-    assert exc.value.code == 0
+    assert main(["run", "--help"]) == 0
     out = capsys.readouterr().out
     for key in cli._SETTINGS:
         assert "--" + key.replace("_", "-") in out
+
+
+@pytest.mark.parametrize("argv", [[], ["frobnicate"], ["evaluate", "--k", "x"], ["mces", "CCO"], ["ingest", "--no-such-flag"]])
+def test_argparse_usage_errors_return_two(capsys, argv):
+    assert main(argv) == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("k", ["0", "-1"])
@@ -289,14 +293,6 @@ def test_k_below_one_is_usage_error(tmp_path, capsys, k):
     assert main(["evaluate", "--config", str(config), "--run-dir", str(tmp_path)]) == 2
 
 
-def _exit_code(argv: list[str]) -> int:
-    """``main``'s exit code, also when argparse rejects a flag value."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 @pytest.mark.parametrize("budget", ["nan", "0", "-1", "0.5", "1.0"])
 def test_bad_mces_budget_is_usage_error(tmp_path, capsys, budget):
     config = tmp_path / "bad.conf"
@@ -306,7 +302,7 @@ def test_bad_mces_budget_is_usage_error(tmp_path, capsys, budget):
         ["evaluate", "--config", str(config), "--run-dir", str(tmp_path)],
         ["mces", "CCOC(=O)C", "CCOC(=O)CC", "--mces-budget", budget],
     ):
-        assert _exit_code(argv) == 2, argv
+        assert main(argv) == 2, argv
         assert "count of search nodes" in capsys.readouterr().err, argv
 
 

@@ -12,7 +12,7 @@ import ms2smiles.chem.canon as canon_module
 import ms2smiles.dataset as dataset_module
 from ms2smiles.chem import ChemError, canonical_formula, canonical_smiles, mol_from_smiles, molecular_formula, write_smiles
 from ms2smiles.cli import main
-from ms2smiles.dataset import SpectrumRecord
+from ms2smiles.dataset import SpectrumRecord, load_dataset
 import ms2smiles.evaluate as evaluate_module
 from ms2smiles.evaluate import (
     EmptyInput,
@@ -136,6 +136,19 @@ def test_k_below_one_is_rejected(k):
         score_spectrum(record, response(["CCO", "CCC"]), k=k)
     with pytest.raises(ValueError, match="k must be at least 1"):
         evaluate_records([record], {record.id: "<answer>CCO</answer>"}, k=k)
+
+
+@pytest.mark.parametrize("budget", [1.0, 0, True])
+def test_budget_is_checked_even_when_no_search_runs(data_dir, budget):
+    # Empty transcripts and an exact match need no MCES search, so only the
+    # entry points can reject the budget.
+    records = load_dataset(str(data_dir / "fixture.tsv")).records
+    assert len(records) == 3
+    with pytest.raises(ValueError, match="count of search nodes"):
+        evaluate_records(records, {}, mces_budget=budget)
+    record = make_record("CCO")
+    with pytest.raises(ValueError, match="count of search nodes"):
+        score_spectrum(record, response(["CCO"]), mces_budget=budget)
 
 
 def _mces_searching_every_candidate(truth, candidates, k, budget):

@@ -280,9 +280,11 @@ GLYCOSIDE_VS_STEROID = (
 )
 
 
-# Nodes the partition search expands on each decoy pair.  The counts pin the
+# Nodes the partition search expands per large-library slot at the default
+# budget, 0 where the bounds meet without a search.  The counts pin the
 # branching order: a faster search must visit the same tree.
-DECOY_NODES = {LIPID_VS_GLYCOSIDE: 10_002, GLYCOSIDE_VS_STEROID: 2_367}
+LIBRARY_NODES = [0, 5, 0, 14, 0, 10_002, 16, 16_384, 0, 16_384, 2_367]
+DECOY_NODES = {LIPID_VS_GLYCOSIDE: LIBRARY_NODES[5], GLYCOSIDE_VS_STEROID: LIBRARY_NODES[10]}
 
 
 @pytest.mark.parametrize(("pair", "common"), [(LIPID_VS_GLYCOSIDE, 18), (GLYCOSIDE_VS_STEROID, 22)])
@@ -342,6 +344,7 @@ def test_reference_pairs_keep_their_certified_values():
         rows = [row for row in csv.DictReader(fh, delimiter="\t") if row["optimal"] == "1"]
     assert len(rows) == 2357
     mols: dict[str, Molecule] = {}
+    nodes = []
     for row in rows:
         for smiles in (row["ground_truth"], row["candidate"]):
             if smiles not in mols:
@@ -349,6 +352,9 @@ def test_reference_pairs_keep_their_certified_values():
         result = mces(mols[row["ground_truth"]], mols[row["candidate"]])  # the default budget
         assert result.optimal, row
         assert result.dissimilarity == float(row["mces"]), row
+        nodes.append(result.nodes)
+    # The node total pins the search tree over every searched pair.
+    assert (sum(nodes), sum(n > 0 for n in nodes)) == (7239, 709)
 
 
 def _library_pairs() -> list[tuple[str, str]]:
@@ -367,6 +373,36 @@ def test_seeding_equals_the_all_pairs_ranking(corpus):
             assert mces_module._seeded_lower_bound(pa, pb, upper) == expected, (sa, sb)
 
 
+def test_bit_count_bound_covers_every_split(corpus, monkeypatch):
+    # The search splits a partner only when the bit-count bound leaves room,
+    # so wherever it does split, the bound must cover what the exact check
+    # counts: the mapped pair, the free bonds and the child's min sum.
+    bit_count_bound, split = mces_module._bit_count_bound, mces_module._split
+    estimates, checked = [], []
+
+    def recorded_bound(terms, hit_b):
+        estimates.append(bit_count_bound(terms, hit_b))
+        return estimates[-1]
+
+    def checked_split(*args):
+        children, free, child_bound = split(*args)
+        checked.append(estimates[-1] - (1 + free + child_bound))  # the partner just estimated
+        return children, free, child_bound
+
+    rng = random.Random(53)
+    pairs = [(rng.choice(corpus), rng.choice(corpus)) for _ in range(150)] + _library_pairs()
+    mols = [tuple(map(mol_from_smiles, pair)) for pair in pairs]
+    monkeypatch.setattr(mces_module, "_bit_count_bound", recorded_bound)
+    monkeypatch.setattr(mces_module, "_split", checked_split)
+    results = [mces(a, b, budget=512) for a, b in mols]
+    assert min(checked) >= 0
+    assert len(checked) > 1000 and len(estimates) > 2 * len(checked)
+
+    # Without the bound every partner is split, and the tree is the same.
+    monkeypatch.setattr(mces_module, "_bit_count_bound", lambda terms, hit_b: 10**6)
+    assert [mces(a, b, budget=512) for a, b in mols] == results
+
+
 # Common edges per large-library slot at the default budget.  Slots 7 and 9
 # stop at the budget; their values are the same from 2**11 to 2**17 nodes.
 LIBRARY_COMMON_EDGES = [7, 6, 17, 14, 40, 18, 55, 27, 58, 34, 22]
@@ -376,6 +412,7 @@ def test_library_at_the_default_budget():
     for slot, pair in enumerate(_library_pairs()):
         result = mces(*map(mol_from_smiles, pair))
         assert result.common_edges == LIBRARY_COMMON_EDGES[slot], slot
+        assert result.nodes == LIBRARY_NODES[slot], slot
         assert result.optimal == (slot not in (7, 9)), slot
         assert result.optimal or result.nodes == DEFAULT_MCES_BUDGET
 
