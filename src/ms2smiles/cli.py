@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .chem import ChemError, mol_from_smiles
 from .dataset import SPLITS, DatasetError, load_dataset
-from .evaluate import aggregate, evaluate_records, write_reports
+from .evaluate import aggregate, evaluate_records, usable_cpu_count, write_reports
 from .gateway import (
     HttpChatProvider,
     MissingApiKey,
@@ -45,7 +45,7 @@ class RunConfig:
     fp_radius: int = 2
     fp_nbits: int = 2048
     provider: str = "http"
-    workers: int = 0  # 0: reuse provider parallelism
+    workers: int = 0  # 0: one per usable CPU
     http: ProviderConfig = field(default_factory=ProviderConfig)
 
 
@@ -62,7 +62,7 @@ _SETTINGS = {
     "fp_radius": ("fp_radius", "fingerprint radius"),
     "fp_nbits": ("fp_nbits", "fingerprint length"),
     "provider": ("provider", "'http' or 'mock:<dir>'"),
-    "workers": ("workers", "evaluation worker processes (0: use parallelism)"),
+    "workers": ("workers", "evaluation worker processes (0: one per usable CPU)"),
     "model": ("http.model_name", "model name sent to the provider"),
     "endpoint": ("http.endpoint_url", "chat-completions endpoint URL"),
     "api_key_env": ("http.api_key_env", "env var holding the API key"),
@@ -70,7 +70,7 @@ _SETTINGS = {
     "max_tokens": ("http.max_tokens", "completion token limit"),
     "request_timeout": ("http.request_timeout", "seconds per HTTP request"),
     "max_retries": ("http.max_retries", "retries after a retryable failure"),
-    "parallelism": ("http.parallelism", "request/scoring parallelism"),
+    "parallelism": ("http.parallelism", "concurrent provider requests in run"),
     "retry_base_delay": ("http.retry_base_delay", "first backoff delay in seconds"),
 }
 
@@ -124,6 +124,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if config.k < 1:
         raise ValueError(f"k must be at least 1, got {config.k}")
     check_budget(config.mces_budget)
+    if config.workers < 0:
+        raise ValueError(f"workers must be at least 0, got {config.workers}")
     if config.split not in SPLITS:
         raise ValueError(f"split must be one of {', '.join(SPLITS)}, got {config.split!r}")
     return config
@@ -196,7 +198,6 @@ def cmd_evaluate(config: RunConfig, table: bool = False) -> int:
         for record in result.records
         if (path := transcripts_dir / f"{record.id}.txt").exists()
     }
-    workers = config.workers or config.http.parallelism
     metrics, audits = evaluate_records(
         result.records,
         transcripts,
@@ -204,7 +205,7 @@ def cmd_evaluate(config: RunConfig, table: bool = False) -> int:
         mces_budget=config.mces_budget,
         fp_radius=config.fp_radius,
         fp_nbits=config.fp_nbits,
-        workers=workers,
+        workers=config.workers or usable_cpu_count(),
     )
     report = aggregate(metrics, audits, k=config.k)
     write_reports(Path(config.run_dir) / "reports", metrics, audits, report)

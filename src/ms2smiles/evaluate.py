@@ -37,12 +37,17 @@ same size.  A third memo of that size holds the MCES result per (ground
 truth, candidate, budget) SMILES pair, so a candidate listed twice, or a
 pair that recurs across records, is searched once.  Pool workers each keep
 their own memos, which start as a copy of the parent's where workers fork.
+Each pool worker is pinned to its own CPU of the parent's affinity mask,
+round-robin, because forked workers start on the parent's CPU and, where
+the kernel does not balance load, would share it for the whole pool.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import multiprocessing
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
@@ -416,12 +421,37 @@ def evaluate_records(
         (record, transcripts.get(record.id, ""), k, mces_budget, fp_radius, fp_nbits)
         for record in records
     ]
+    workers = min(workers, len(tasks))  # fork starts every worker up front
     if workers <= 1:
         results = [_evaluate_task(t) for t in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        context = multiprocessing.get_context()
+        placement = {}
+        if hasattr(os, "sched_setaffinity"):
+            allowed = sorted(os.sched_getaffinity(0))
+            cpus = context.SimpleQueue()
+            for slot in range(workers):
+                cpus.put(allowed[slot % len(allowed)])
+            placement = {"initializer": _pin_to_cpu, "initargs": (cpus,)}
+        with ProcessPoolExecutor(max_workers=workers, mp_context=context, **placement) as pool:
             results = list(pool.map(_evaluate_task, tasks, chunksize=8))
     return [m for m, _ in results], [a for _, a in results]
+
+
+def usable_cpu_count() -> int:
+    """The CPUs this process may run on: the default ``evaluate`` worker count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _pin_to_cpu(cpus) -> None:
+    """Pool initializer: keep this worker on the next CPU from ``cpus``."""
+    cpu = cpus.get()
+    try:
+        os.sched_setaffinity(0, {cpu})
+    except OSError:
+        pass  # placement only affects speed; the worker runs unpinned
 
 
 def _cell(value) -> object:

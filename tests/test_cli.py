@@ -293,6 +293,27 @@ def test_k_below_one_is_usage_error(tmp_path, capsys, k):
     assert main(["evaluate", "--config", str(config), "--run-dir", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("workers", ["-1", "-2"])
+def test_negative_workers_is_usage_error(tmp_path, capsys, workers):
+    assert main(["evaluate", "--dataset", FIXTURE, "--run-dir", str(tmp_path), "--workers", workers]) == 2
+    assert "workers must be at least 0" in capsys.readouterr().err
+    config = tmp_path / "bad.conf"
+    config.write_text(f"dataset = {FIXTURE}\nworkers = {workers}\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(config), "--run-dir", str(tmp_path)]) == 2
+
+
+def test_default_workers_follow_the_usable_cpus_not_parallelism(tmp_path, monkeypatch):
+    args = ["--dataset", FIXTURE, "--run-dir", str(tmp_path), "--split", "test"]
+    assert main(["run", *args, "--provider", f"mock:{TRANSCRIPTS}"]) == 0
+    seen = []
+    real = cli.evaluate_records
+    monkeypatch.setattr(cli, "evaluate_records", lambda *a, workers, **kw: seen.append(workers) or real(*a, workers=1, **kw))
+    monkeypatch.setattr(cli, "usable_cpu_count", lambda: 5)
+    assert main(["evaluate", *args, "--parallelism", "32"]) == 0
+    assert main(["evaluate", *args, "--parallelism", "32", "--workers", "3"]) == 0
+    assert seen == [5, 3]
+
+
 @pytest.mark.parametrize("budget", ["nan", "0", "-1", "0.5", "1.0"])
 def test_bad_mces_budget_is_usage_error(tmp_path, capsys, budget):
     config = tmp_path / "bad.conf"

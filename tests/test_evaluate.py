@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import csv
+import os
 import random
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -390,19 +392,75 @@ def test_pair_memo_searches_each_pair_once(monkeypatch):
     assert memoized == ([m for m, _ in fresh], [a for _, a in fresh])
 
 
-def test_truncated_scores_do_not_depend_on_the_worker_count():
-    # ``bench/data/large_library.tsv`` slots 7 and 9, the two decoys that
-    # truncate at every budget tried; a small budget keeps this quick.
+def test_truncated_scores_do_not_depend_on_the_worker_count(tmp_path):
+    # Every ``bench/data/large_library.tsv`` pair; slots 7 and 9 are the two
+    # decoys that truncate at every budget tried, and a small budget keeps
+    # this quick.  On two CPUs, three workers take them round-robin.
     with open(BENCH_DATA / "large_library.tsv", newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.DictReader(fh, delimiter="\t") if row["slot"] in ("7", "9")]
+        rows = list(csv.DictReader(fh, delimiter="\t"))
     records = [make_record(row["ground_truth"], rid=f"slot{row['slot']}") for row in rows]
     transcripts = {r.id: f"<answer>{row['candidate']}</answer>" for r, row in zip(records, rows)}
-    runs = []
-    for workers in (1, 2, 1):
+    reports = []
+    for workers in (1, 2, 3, 1):
         pair_mces.cache_clear()  # forked workers would inherit the parent's results
-        runs.append(evaluate_records(records, transcripts, mces_budget=512, workers=workers))
-    assert runs[0] == runs[1] == runs[2]
-    assert [m.mces_truncated for m in runs[0][0]] == [True, True]
+        metrics, audits = evaluate_records(records, transcripts, mces_budget=512, workers=workers)
+        out = tmp_path / f"run{len(reports)}"
+        write_reports(out, metrics, audits, aggregate(metrics, audits))
+        reports.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+    assert reports[0] == reports[1] == reports[2] == reports[3]
+    assert {m.record_id for m in metrics if m.mces_truncated} >= {"slot7", "slot9"}
+
+
+def test_no_more_workers_start_than_there_are_records(data_dir, monkeypatch):
+    started = []
+
+    class CountingPool(evaluate_module.ProcessPoolExecutor):
+        def __init__(self, max_workers, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers, **kwargs)
+
+    monkeypatch.setattr(evaluate_module, "ProcessPoolExecutor", CountingPool)
+    records = load_dataset(data_dir / "fixture.tsv").records
+    evaluate_records(records, {}, workers=4)
+    evaluate_records(records[:1], {}, workers=4)
+    assert started == [len(records)] == [3]
+
+
+pins_workers = pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs os.sched_setaffinity and at least 2 usable CPUs",
+)
+
+
+def _report_placement(task):
+    """Stand-in for ``evaluate._evaluate_task``: the worker's pid and CPU mask."""
+    time.sleep(0.1)  # so each worker takes one of the two chunks
+    return os.getpid(), frozenset(os.sched_getaffinity(0))
+
+
+@pins_workers
+def test_each_pool_worker_runs_on_its_own_cpu(monkeypatch):
+    monkeypatch.setattr(evaluate_module, "_evaluate_task", _report_placement)
+    records = [make_record(rid=f"r{i}") for i in range(16)]
+    pids, masks = evaluate_records(records, {}, workers=2)
+    placed = set(zip(pids, masks))
+    assert len(set(pids)) == len(placed) == 2
+    assert len(set(masks)) == 2
+    assert all(len(mask) == 1 and mask <= os.sched_getaffinity(0) for mask in masks)
+
+
+@pins_workers
+def test_a_refused_placement_still_scores(data_dir, monkeypatch):
+    records = load_dataset(data_dir / "fixture.tsv").records
+    transcripts = {r.id: (data_dir / "transcripts" / f"{r.id}.txt").read_text(encoding="utf-8") for r in records}
+    serial = evaluate_records(records, transcripts, workers=1)
+
+    def refuse(pid, mask):
+        raise OSError(22, "Invalid argument")
+
+    monkeypatch.setattr(os, "sched_setaffinity", refuse)
+    pair_mces.cache_clear()
+    assert evaluate_records(records, transcripts, workers=2) == serial
 
 
 def test_memoized_failures_stay_failures():
