@@ -29,7 +29,10 @@ from .chem.mol import Molecule
 
 SPLITS = ("train", "val", "test")
 
-MEMO_SIZE = 2048  # entries per memo and process; ~20 KiB per prepared molecule for bench/data/large_library.tsv
+# Entries per memo and process.  A bench/data/large_library.tsv molecule holds
+# ~10 KiB prepared and ~44 KiB once MCES has cached its profile on it (corpus
+# molecules: 4 and 14 KiB), measured with tracemalloc.
+MEMO_SIZE = 2048
 
 WEIGHT_BIN_EDGES = (200.0, 400.0, 600.0, 800.0)
 WEIGHT_BIN_LABELS = ("[0,200)", "[200,400)", "[400,600)", "[600,800)", "[800,inf)")

@@ -37,7 +37,15 @@ cheapest first:
    bounds it from bit counts: a class with nL and nR unmoved and mL and mR
    moved bonds keeps at most min(nL, nR) + min(mL, mR) pairs.  A partner
    whose bound cannot beat the best count is skipped unbuilt; the bound is
-   never below the built child's, so the search tree is unchanged.
+   never below the built child's, so the search tree is unchanged.  Per
+   node the work is kept small without changing that tree: a partner's
+   moved B-bonds are its precomputed closed line-graph neighbourhood, less
+   the other bonds at the image of v's fixed end, if any; a node with one
+   class bounds its partners without a per-class loop; and building a
+   child regroups only the classes with moved bonds on both sides, and
+   compares end tokens directly instead of building keys: where one side
+   has a single moved bond, the other side's moved bonds are checked
+   against its two tokens, and otherwise a short list holds the groups.
 
 ``optimal=True`` means the lower bound met the upper bound, or the search
 finished, so the count is the maximum.  ``nodes`` counts the search nodes
@@ -48,7 +56,8 @@ the common edge count, hence an upper bound on the dissimilarity.  No clock
 is read, so every result is a function of the molecules and the budget.
 
 Everything read from one molecule (labelled edges, per-atom bond masks and
-counts, environment codes) is built once and cached on the ``Molecule``.
+counts, environment codes, and the search's bond ends, closed neighbourhoods
+and bonds by line-graph degree) is built once and cached on the ``Molecule``.
 ``mces_floor`` gives the dissimilarity that the degree-sequence bound
 allows, a lower bound on any ``mces`` result, without any search.
 """
@@ -87,6 +96,9 @@ class _Profile:
     bond_mask: list[int]  # per atom, bit i set for each bond ``edges[i]`` at it
     degrees: dict[tuple, list[int]]  # (element, neighbour element, order) -> counts, descending
     env: list[tuple[int, ...]]  # environment codes at radius 0.._ENV_RADIUS
+    ends: list[tuple[int, int, bool]]  # (atom, atom, homonuclear) per bond
+    closed: list[int]  # per bond, the mask of the bonds sharing an atom with it, itself included
+    degree_masks: list[int]  # bonds by line-graph degree, highest degree first
 
 
 def check_budget(budget: int) -> None:
@@ -203,6 +215,12 @@ def _build_profile(mol: Molecule) -> _Profile:
     for i, element in enumerate(elements):
         by_env1.setdefault((element, layers[1][i]), []).append(i)
 
+    closed = [bond_mask[u] | bond_mask[v] for u, v, _ in edges]
+    by_degree: dict[int, int] = {}  # by line-graph degree plus one (the bond itself)
+    for i, neighbourhood in enumerate(closed):
+        d = neighbourhood.bit_count()
+        by_degree[d] = by_degree.get(d, 0) | 1 << i
+
     return _Profile(
         edges=edges,
         elements=elements,
@@ -212,6 +230,9 @@ def _build_profile(mol: Molecule) -> _Profile:
         bond_mask=bond_mask,
         degrees=degrees,
         env=list(zip(*layers)),
+        ends=[(u, v, e1 == e2) for u, v, ((e1, e2), _) in edges],
+        closed=closed,
+        degree_masks=[by_degree[d] for d in sorted(by_degree, reverse=True)],
     )
 
 
@@ -309,43 +330,42 @@ def _seeded_lower_bound(pa: _Profile, pb: _Profile, upper: int) -> int:
     return best
 
 
-def _bit_count_bound(terms: list[tuple[int, int, int, int]], hit_b: int) -> int:
-    """At most what mapping v to a partner adds to the common edge count:
-    the pair itself, the bonds that then map for free, and the child's sum
-    of min(|A|, |B|).  It reads bit counts only, so it runs before a split.
-
-    ``terms`` holds (B-mask, unmoved |A|, |B|, moved |A|) per class of the
-    node; the moved A-bonds are those in ``hit_a``, at the atoms that the
-    mapping re-tokens, and ``hit_b`` is the partner's B side.  A class with
-    nL and nR unmoved and mL and mR moved bonds splits into one class of
-    the unmoved bonds and groups of the moved ones, and the groups pair off
-    at most min(mL, mR) bonds, free ones included: it gives at most
-    min(nL, nR) + min(mL, mR).  v and its partner are moved bonds of one
-    class, so that class's share covers the mapped pair too.
-    """
-    total = 0
-    for right, n_left, n_right, moved_left in terms:
-        moved_right = (right & hit_b).bit_count()
-        n_right -= moved_right
-        total += (n_left if n_left < n_right else n_right) + (
-            moved_left if moved_left < moved_right else moved_right
-        )
-    return total
-
-
 def _split(
     classes: list, tok_a: list[int], tok_b: list[int], hit_a: int, hit_b: int,
-    ends_a: list[tuple[int, int, bool]], ends_b: list[tuple[int, int, bool]], nb: int,
+    ends_a: list[tuple[int, int, bool]], ends_b: list[tuple[int, int, bool]],
 ) -> tuple[list, int, int]:
     """The classes after a mapping that re-tokened the atoms whose bonds
     are ``hit_a`` and ``hit_b``, the bonds that map for free, and the sum
-    of min(|A|, |B|).  Every class passed in has both sides non-empty."""
+    of min(|A|, |B|).  Every class passed in has both sides non-empty.
+
+    A class keeps its unmoved bonds, first.  Moved bonds pair only with
+    moved bonds of the same end tokens, so those of a class moved on one
+    side only leave it.  A side with a single moved bond gives the one
+    possible group, and the other side's moved bonds are compared with its
+    end tokens.  Otherwise the moved A-bonds form groups in A-bond order,
+    each kept with its tokens in a short list, and each moved B-bond joins
+    the group it matches.  No dict or key tuple is built.
+    """
     out = []
     free = bound = 0
     for cls in classes:
         left, right, n_left, n_right = cls
         moved_left, moved_right = left & hit_a, right & hit_b
-        if not (moved_left or moved_right):
+        if not (moved_left and moved_right):
+            # Moved bonds of one side only have no partner and leave; the
+            # rest keep their class.
+            if moved_left:
+                left ^= moved_left
+                if not left:
+                    continue
+                n_left -= moved_left.bit_count()
+                cls = left, right, n_left, n_right
+            elif moved_right:
+                right ^= moved_right
+                if not right:
+                    continue
+                n_right -= moved_right.bit_count()
+                cls = left, right, n_left, n_right
             out.append(cls)
             bound += n_left if n_left < n_right else n_right
             continue
@@ -356,31 +376,64 @@ def _split(
             n_right -= moved_right.bit_count()
             out.append((keep_left, keep_right, n_left, n_right))
             bound += n_left if n_left < n_right else n_right
-        # The changed bonds group by the tokens at their ends, sorted for
-        # a homonuclear bond, whose ends are interchangeable.
-        groups: dict[tuple[int, int], int] = {}
+        # The changed bonds group by the tokens at their ends, in either
+        # order for a homonuclear bond, whose ends are interchangeable.
+        one_left = not moved_left & (moved_left - 1)
+        if one_left or not moved_right & (moved_right - 1):
+            # One changed bond on a side gives the only key; the other side's
+            # bonds that share it form the one group, compared end by end.
+            if one_left:
+                s, t, homo = ends_a[moved_left.bit_length() - 1]
+                x, y = tok_a[s], tok_a[t]
+                todo, ends, tok = moved_right, ends_b, tok_b
+            else:
+                s, t, homo = ends_b[moved_right.bit_length() - 1]
+                x, y = tok_b[s], tok_b[t]
+                todo, ends, tok = moved_left, ends_a, tok_a
+            group = 0
+            while todo:
+                bit = todo & -todo
+                todo ^= bit
+                s, t, _ = ends[bit.bit_length() - 1]
+                x2, y2 = tok[s], tok[t]
+                if x == x2 and y == y2 or homo and x == y2 and y == x2:
+                    group |= bit
+            if not group:
+                continue
+            if x >= 0 and y >= 0:
+                free += 1  # both ends fixed: the image bond is the only match
+            elif one_left:
+                out.append((moved_left, group, 1, group.bit_count()))
+                bound += 1
+            else:
+                out.append((group, moved_right, group.bit_count(), 1))
+                bound += 1
+            continue
+        groups = []  # [x, y, A-bonds, B-bonds] per end tokens, in A-bond order
         while moved_left:
             bit = moved_left & -moved_left
             moved_left ^= bit
             s, t, homo = ends_a[bit.bit_length() - 1]
             x, y = tok_a[s], tok_a[t]
-            k = (y, x) if homo and x > y else (x, y)
-            groups[k] = groups.get(k, 0) | bit
-        partners: dict[tuple[int, int], int] = {}
+            for group in groups:
+                if group[0] == x and group[1] == y or homo and group[0] == y and group[1] == x:
+                    group[2] |= bit
+                    break
+            else:
+                groups.append([x, y, bit, 0])
         while moved_right:
             bit = moved_right & -moved_right
             moved_right ^= bit
-            s, t, homo = ends_b[bit.bit_length() - 1]
+            s, t, _ = ends_b[bit.bit_length() - 1]
             x, y = tok_b[s], tok_b[t]
-            k = (y, x) if homo and x > y else (x, y)
-            if k in groups:
-                partners[k] = partners.get(k, 0) | bit
-        for k, group_left in groups.items():
-            group_right = partners.get(k)
-            if group_right is None:
+            for group in groups:
+                if group[0] == x and group[1] == y or homo and group[0] == y and group[1] == x:
+                    group[3] |= bit
+                    break
+        for x, y, group_left, group_right in groups:
+            if not group_right:
                 continue
-            x, y = k
-            if 0 <= x < nb and 0 <= y < nb:
+            if x >= 0 and y >= 0:
                 free += 1  # both ends fixed: the image bond is the only match
             else:
                 n_left, n_right = group_left.bit_count(), group_right.bit_count()
@@ -398,20 +451,29 @@ def _mcsplit(
     the same label, and ends that agree under the atom map so far.  A class
     is (A-mask, B-mask, |A|, |B|), each mask a set of bond indices.  An
     end's token is -1 when free and its B-atom when fixed.  A homonuclear
-    bond mapped with both ends free gives its four atoms the token ``nb``
-    plus its index, which leaves the orientation open until a neighbouring
-    bond fixes one end; the token then names the other pair.  Tokens only
-    refine, so the mapped count plus the sum over classes of min(|A|, |B|)
-    bounds every extension.  Mapping a bond changes the tokens of at most
-    four atoms, so only the classes holding a bond at one of them split.
-    One pair of token lists serves the whole search: a mapping writes its
-    tokens before its subtree runs and restores them after.
+    bond i mapped with both ends free gives its four atoms the token
+    -2 - i, which leaves the orientation open until a neighbouring bond
+    fixes one end; the token then names the other pair.  So an end is open
+    exactly when its token is negative.  Tokens only refine, so the mapped
+    count plus the sum over classes of min(|A|, |B|) bounds every
+    extension.  Mapping a bond changes the tokens of at most four atoms, so
+    only the classes holding a bond at one of them split.  One pair of
+    token lists serves the whole search: a mapping writes its tokens before
+    its subtree runs and restores them after, and since the bonds of a
+    class carry the same end tokens, v's tokens are also its partner's.
 
-    A child is built (``_split``) only if ``_bit_count_bound``, read from
-    the node's classes and the two hit masks alone, leaves it room to beat
-    the best count.  That bound is never below the child's own, so the
+    Mapping v to a partner w re-tokens v's open ends and their images, so
+    the bonds at those atoms (``hit_a``, one mask per node, and ``hit_b``)
+    move.  A child is built (``_split``) only if the bit-count bound,
+    ``estimate``, leaves it room to beat the best count: the sum over the
+    node's classes of min(nL, nR) + min(mL, mR), for nL and nR unmoved and
+    mL and mR moved bonds.  A class splits into its unmoved bonds and groups
+    of moved ones, which pair off at most min(mL, mR) bonds, free ones
+    included, and v and w are moved bonds of one class, so the sum covers
+    the mapped pair too.  It is never below the child's own bound, so the
     search yields the same children, in the same order, as one that splits
-    every partner; it only skips building those that would be pruned.
+    every partner; it only skips building those that would be pruned.  With
+    one class the A side is counted once per node, not per partner.
 
     Branching takes the class with the smallest larger side, from it the
     lowest-indexed bond v of highest line-graph degree, maps v to each
@@ -422,16 +484,11 @@ def _mcsplit(
     """
     edges_a, edges_b = pa.edges, pb.edges
     mask_a, mask_b = pa.bond_mask, pb.bond_mask
-    nb = len(pb.elements)
-    by_degree: dict[int, int] = {}
-    for i, (u, v, _) in enumerate(edges_a):
-        d = mask_a[u].bit_count() + mask_a[v].bit_count() - 2
-        by_degree[d] = by_degree.get(d, 0) | 1 << i
-    degree_masks = [by_degree[d] for d in sorted(by_degree, reverse=True)]
-    ends_a = [(s, t, e1 == e2) for s, t, ((e1, e2), _) in edges_a]
-    ends_b = [(s, t, e1 == e2) for s, t, ((e1, e2), _) in edges_b]
-    tok_a, tok_b = [-1] * len(pa.elements), [-1] * nb
-    split, bit_count_bound = _split, _bit_count_bound
+    ends_a, ends_b = pa.ends, pb.ends
+    closed_a, closed_b = pa.closed, pb.closed
+    degree_masks = pa.degree_masks
+    tok_a, tok_b = [-1] * len(pa.elements), [-1] * len(pb.elements)
+    split = _split
     best = lower
     nodes = 0
 
@@ -440,16 +497,21 @@ def _mcsplit(
         loop below, so depth (one level per A-bond) escapes the recursion limit."""
         nonlocal best, nodes
         nodes += 1
-        best = max(best, count)
+        if count > best:
+            best = count
         if best >= upper or not classes:
             return
-        ci, size = 0, len(edges_a) + 1
-        for i, (_, _, n_left, n_right) in enumerate(classes):
-            larger = n_left if n_left > n_right else n_right
-            if larger < size:
-                ci, size = i, larger
-        left, right, n_left, n_right = classes[ci]
-        before, after = classes[:ci], classes[ci + 1:]
+        single = len(classes) == 1
+        if single:
+            ci = 0
+            left, right, n_left, n_right = classes[0]
+        else:
+            ci, size = 0, len(edges_a) + 1
+            for i, (_, _, n_left, n_right) in enumerate(classes):
+                larger = n_left if n_left > n_right else n_right
+                if larger < size:
+                    ci, size = i, larger
+            left, right, n_left, n_right = classes[ci]
         for mask in degree_masks:
             top = left & mask
             if top:
@@ -462,46 +524,76 @@ def _mcsplit(
         # homonuclear v, else its ends that are not fixed.  So hit_a is one
         # mask per node, and v is in it (a bond with both ends fixed maps for
         # free and leaves the classes).
-        fresh = homo and tok_a[s] == tok_a[t] == -1
-        open_s, open_t = not 0 <= tok_a[s] < nb, not 0 <= tok_a[t] < nb
-        hit_a = (mask_a[s] if open_s else 0) | (mask_a[t] if open_t else 0)
-        # The A side of the bit-count bound is the same for every partner.
-        terms = []
-        for class_left, class_right, n_class_left, n_class_right in classes:
-            moved = (class_left & hit_a).bit_count()
-            terms.append((class_right, n_class_left - moved, n_class_right, moved))
+        x, y = tok_a[s], tok_a[t]
+        fresh = homo and x == y == -1
+        open_s, open_t = x < 0, y < 0
+        both_open = open_s and open_t
+        hit_a = closed_a[v] if both_open else mask_a[s] if open_s else mask_a[t]
+        orient = homo and not fresh
+        # A fixed end's token is its image, an end of every partner, so a
+        # partner's hit_b is its closed neighbourhood less that atom's other
+        # bonds.
+        fixed_b = 0 if both_open else mask_b[y] if open_s else mask_b[x]
+        # With one class, the A side of the bound is the same for every partner.
+        if single:
+            moved_left = (left & hit_a).bit_count()
+            unmoved_left = n_left - moved_left
         todo = right
         while todo:
             bit_w = todo & -todo
             todo ^= bit_w
-            s2, t2, _ = ends_b[bit_w.bit_length() - 1]
-            if homo and not fresh and tok_a[s] != tok_b[s2]:
-                s2, t2 = t2, s2
-            hit_b = (mask_b[s2] if open_s else 0) | (mask_b[t2] if open_t else 0)
-            if count + bit_count_bound(terms, hit_b) <= best:
+            w = bit_w.bit_length() - 1
+            hit_b = closed_b[w] ^ fixed_b | bit_w
+            if single:
+                moved_right = (right & hit_b).bit_count()
+                unmoved_right = n_right - moved_right
+                estimate = (unmoved_left if unmoved_left < unmoved_right else unmoved_right) + (
+                    moved_left if moved_left < moved_right else moved_right
+                )
+            else:
+                estimate = 0
+                for class_left, class_right, n_class_left, n_class_right in classes:
+                    moved_l = (class_left & hit_a).bit_count()
+                    moved_r = (class_right & hit_b).bit_count()
+                    n_class_left -= moved_l
+                    n_class_right -= moved_r
+                    estimate += (n_class_left if n_class_left < n_class_right else n_class_right) + (
+                        moved_l if moved_l < moved_r else moved_r
+                    )
+            if count + estimate <= best:
                 continue  # the split below could only prune this child too
-            undo = tok_a[s], tok_a[t], tok_b[s2], tok_b[t2]
+            s2, t2, _ = ends_b[w]
+            if orient and x != tok_b[s2]:
+                s2, t2 = t2, s2
             if fresh:
-                tok_a[s] = tok_a[t] = tok_b[s2] = tok_b[t2] = nb + v
+                tok_a[s] = tok_a[t] = tok_b[s2] = tok_b[t2] = -2 - v
             else:
                 if open_s:
                     tok_a[s] = tok_b[s2] = s2
                 if open_t:
                     tok_a[t] = tok_b[t2] = t2
-            kept = [(rest, right ^ bit_w, n_left - 1, n_right - 1)] if rest and right != bit_w else []
-            children, free, child_bound = split(
-                before + kept + after, tok_a, tok_b, hit_a, hit_b, ends_a, ends_b, nb
-            )
+            if rest and right != bit_w:
+                child = classes.copy()
+                child[ci] = rest, right ^ bit_w, n_left - 1, n_right - 1
+            else:
+                child = classes[:ci] + classes[ci + 1:]
+            children, free, child_bound = split(child, tok_a, tok_b, hit_a, hit_b, ends_a, ends_b)
             if count + 1 + free + child_bound > best:
                 yield children, count + 1 + free, child_bound
-            tok_a[s], tok_a[t], tok_b[s2], tok_b[t2] = undo
+            # The oriented partner's ends held v's tokens, x and y.
+            tok_a[s] = tok_b[s2] = x
+            tok_a[t] = tok_b[t2] = y
             if best >= upper:
                 return
         # Leave v unmapped: its class loses one A-bond.
         bound -= n_left <= n_right
         if count + bound > best:
-            kept = [(rest, right, n_left - 1, n_right)] if rest else []
-            yield before + kept + after, count, bound
+            if not rest:
+                yield classes[:ci] + classes[ci + 1:], count, bound
+            else:
+                child = classes.copy()
+                child[ci] = rest, right, n_left - 1, n_right
+                yield child, count, bound
 
     by_label: dict[tuple, list[int]] = {}
     for i, (_, _, label) in enumerate(edges_a):
@@ -515,13 +607,16 @@ def _mcsplit(
         if right
     ]
     bound = sum(min(n_left, n_right) for _, _, n_left, n_right in classes)
-    stack = [search(classes, 0, bound)]
-    while stack:
-        child = next(stack[-1], None)
+    stack = []
+    node = search(classes, 0, bound)
+    while True:
+        child = next(node, None)
         if child is None:
-            stack.pop()
+            if not stack:
+                return best, True, nodes
+            node = stack.pop()
         elif nodes == budget:
             return best, False, nodes
         else:
-            stack.append(search(*child))
-    return best, True, nodes
+            stack.append(node)
+            node = search(*child)

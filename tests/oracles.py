@@ -173,3 +173,164 @@ def refine_ranks_rehashing(seeds, adjacency) -> tuple[list[int], list[int]]:
         n_classes = new_n
     order = {key: rank for rank, key in enumerate(sorted(set(keys)))}
     return [order[k] for k in keys], keys
+
+
+def split_by_grouping(
+    classes: list, tok_a: list[int], tok_b: list[int], hit_a: int, hit_b: int,
+    ends_a: list[tuple[int, int, bool]], ends_b: list[tuple[int, int, bool]], nb: int,
+) -> tuple[list, int, int]:
+    """The classes after a mapping that re-tokened the atoms whose bonds
+    are ``hit_a`` and ``hit_b``, the bonds that map for free, and the sum
+    of min(|A|, |B|).  Every class passed in has both sides non-empty.
+
+    The reference for ``similarity.mces._split``: every class with moved
+    bonds on both sides groups them through two dicts keyed by end tokens.
+    A token in [0, nb) is a fixed end's B-atom; any other token is open.
+    """
+    out = []
+    free = bound = 0
+    for cls in classes:
+        left, right, n_left, n_right = cls
+        moved_left, moved_right = left & hit_a, right & hit_b
+        if not (moved_left or moved_right):
+            out.append(cls)
+            bound += n_left if n_left < n_right else n_right
+            continue
+        # Unchanged bonds keep their class, first; no changed key is (-1, -1).
+        keep_left, keep_right = left ^ moved_left, right ^ moved_right
+        if keep_left and keep_right:
+            n_left -= moved_left.bit_count()
+            n_right -= moved_right.bit_count()
+            out.append((keep_left, keep_right, n_left, n_right))
+            bound += n_left if n_left < n_right else n_right
+        # The changed bonds group by the tokens at their ends, sorted for
+        # a homonuclear bond, whose ends are interchangeable.
+        groups: dict[tuple[int, int], int] = {}
+        while moved_left:
+            bit = moved_left & -moved_left
+            moved_left ^= bit
+            s, t, homo = ends_a[bit.bit_length() - 1]
+            x, y = tok_a[s], tok_a[t]
+            k = (y, x) if homo and x > y else (x, y)
+            groups[k] = groups.get(k, 0) | bit
+        partners: dict[tuple[int, int], int] = {}
+        while moved_right:
+            bit = moved_right & -moved_right
+            moved_right ^= bit
+            s, t, homo = ends_b[bit.bit_length() - 1]
+            x, y = tok_b[s], tok_b[t]
+            k = (y, x) if homo and x > y else (x, y)
+            if k in groups:
+                partners[k] = partners.get(k, 0) | bit
+        for k, group_left in groups.items():
+            group_right = partners.get(k)
+            if group_right is None:
+                continue
+            x, y = k
+            if 0 <= x < nb and 0 <= y < nb:
+                free += 1  # both ends fixed: the image bond is the only match
+            else:
+                n_left, n_right = group_left.bit_count(), group_right.bit_count()
+                out.append((group_left, group_right, n_left, n_right))
+                bound += n_left if n_left < n_right else n_right
+    return out, free, bound
+
+
+def partner_bound(classes: list, hit_a: int, hit_b: int) -> int:
+    """The bit-count bound on what mapping a bond v to a partner w adds to
+    the common edge count, from the classes ``split_by_grouping`` is given
+    (the node's, with v's class less v and w) and the two hit masks.
+
+    Per class with nL and nR unmoved and mL and mR moved bonds, at most
+    min(nL, nR) + min(mL, mR) pairs survive; the mapped pair adds 1.
+    """
+    total = 1
+    for left, right, n_left, n_right in classes:
+        moved_left, moved_right = (left & hit_a).bit_count(), (right & hit_b).bit_count()
+        total += min(n_left - moved_left, n_right - moved_right) + min(moved_left, moved_right)
+    return total
+
+
+def mcsplit_splitting_every_partner(pa, pb, lower: int, upper: int, budget: int) -> tuple[int, bool, int]:
+    """The MCES partition search with no bound before a split.
+
+    ``pa`` and ``pb`` are the two molecules' MCES profiles.  Branching as in
+    ``similarity.mces._mcsplit``: the class with the smallest larger side,
+    from it the lowest-indexed A-bond of highest line-graph degree, mapped
+    to each partner in ascending index, then left unmapped.  Every partner
+    is split with ``split_by_grouping``, and a child is visited when its
+    count plus its sum of min(|A|, |B|) beats the best.  An unoriented
+    homonuclear mapping tokens its atoms ``nb`` plus the A-bond's index.
+    Returns (best count, finished, nodes expanded).
+    """
+    edges_a, edges_b = pa.edges, pb.edges
+    mask_a, mask_b = pa.bond_mask, pb.bond_mask
+    nb = len(pb.elements)
+    degree = {
+        i: mask_a[u].bit_count() + mask_a[v].bit_count() - 2 for i, (u, v, _) in enumerate(edges_a)
+    }
+    ends_a = [(s, t, e1 == e2) for s, t, ((e1, e2), _) in edges_a]
+    ends_b = [(s, t, e1 == e2) for s, t, ((e1, e2), _) in edges_b]
+    tok_a, tok_b = [-1] * len(pa.elements), [-1] * nb
+    best, nodes = lower, 0
+
+    def search(classes, count, bound):
+        nonlocal best, nodes
+        nodes += 1
+        best = max(best, count)
+        if best >= upper or not classes:
+            return
+        ci = min(range(len(classes)), key=lambda i: (max(classes[i][2], classes[i][3]), i))
+        left, right, n_left, n_right = classes[ci]
+        others = classes[:ci] + classes[ci + 1:]
+        bits = [i for i in range(len(edges_a)) if left >> i & 1]
+        v = min(bits, key=lambda i: (-degree[i], i))
+        s, t, homo = ends_a[v]
+        fresh = homo and tok_a[s] == tok_a[t] == -1
+        open_s, open_t = not 0 <= tok_a[s] < nb, not 0 <= tok_a[t] < nb
+        hit_a = (mask_a[s] if open_s else 0) | (mask_a[t] if open_t else 0)
+        for w in (j for j in range(len(edges_b)) if right >> j & 1):
+            s2, t2, _ = ends_b[w]
+            if homo and not fresh and tok_a[s] != tok_b[s2]:
+                s2, t2 = t2, s2
+            hit_b = (mask_b[s2] if open_s else 0) | (mask_b[t2] if open_t else 0)
+            undo = tok_a[s], tok_a[t], tok_b[s2], tok_b[t2]
+            if fresh:
+                tok_a[s] = tok_a[t] = tok_b[s2] = tok_b[t2] = nb + v
+            else:
+                if open_s:
+                    tok_a[s] = tok_b[s2] = s2
+                if open_t:
+                    tok_a[t] = tok_b[t2] = t2
+            rest, rest_right = left & ~(1 << v), right & ~(1 << w)
+            kept = [(rest, rest_right, n_left - 1, n_right - 1)] if rest and rest_right else []
+            children, free, child_bound = split_by_grouping(
+                others[:ci] + kept + others[ci:], tok_a, tok_b, hit_a, hit_b, ends_a, ends_b, nb
+            )
+            if count + 1 + free + child_bound > best:
+                yield children, count + 1 + free, child_bound
+            tok_a[s], tok_a[t], tok_b[s2], tok_b[t2] = undo
+            if best >= upper:
+                return
+        bound -= n_left <= n_right
+        if count + bound > best:
+            kept = [(left & ~(1 << v), right, n_left - 1, n_right)] if n_left > 1 else []
+            yield others[:ci] + kept + others[ci:], count, bound
+
+    by_label: dict = {}
+    for i, (_, _, label) in enumerate(edges_a):
+        by_label.setdefault(label, [0, 0])[0] |= 1 << i
+    for j, (_, _, label) in enumerate(edges_b):
+        if label in by_label:
+            by_label[label][1] |= 1 << j
+    classes = [(l, r, l.bit_count(), r.bit_count()) for l, r in by_label.values() if r]
+    stack = [search(classes, 0, sum(min(c[2], c[3]) for c in classes))]
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+        elif nodes == budget:
+            return best, False, nodes
+        else:
+            stack.append(search(*child))
+    return best, True, nodes

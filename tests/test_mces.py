@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import hashlib
 import importlib
 import itertools
 import math
@@ -18,7 +19,14 @@ from ms2smiles.chem import canonical_formula, mol_from_smiles, molecular_formula
 from ms2smiles.chem.mol import Molecule
 from ms2smiles.similarity import DEFAULT_MCES_BUDGET, McesResult, mces, mces_floor
 
-from oracles import brute_force_mces, seeded_lower_bound_all_pairs
+import oracles
+from oracles import (
+    brute_force_mces,
+    mcsplit_splitting_every_partner,
+    partner_bound,
+    seeded_lower_bound_all_pairs,
+    split_by_grouping,
+)
 
 mces_module = importlib.import_module("ms2smiles.similarity.mces")
 
@@ -373,34 +381,108 @@ def test_seeding_equals_the_all_pairs_ranking(corpus):
             assert mces_module._seeded_lower_bound(pa, pb, upper) == expected, (sa, sb)
 
 
+def _split_pairs(corpus) -> list[tuple[Molecule, Molecule]]:
+    """150 seeded corpus pairs and the 11 large-library pairs."""
+    rng = random.Random(53)
+    pairs = [(rng.choice(corpus), rng.choice(corpus)) for _ in range(150)] + _library_pairs()
+    return [tuple(map(mol_from_smiles, pair)) for pair in pairs]
+
+
+def _split_path(moved_left: int, moved_right: int) -> str:
+    """Which way ``_split`` handles a class with these moved bond counts."""
+    fewer, more = sorted((moved_left, moved_right))
+    if more == 0:
+        return "unmoved"
+    if fewer == 0:
+        return "moved on one side"
+    if fewer == 1:
+        return "one moved bond per side" if more == 1 else "one moved bond on a side"
+    return "grouped"
+
+
+def test_split_equals_the_grouping_reference(corpus, monkeypatch):
+    split = mces_module._split
+    paths, checked = Counter(), []
+
+    def checked_split(classes, tok_a, tok_b, hit_a, hit_b, ends_a, ends_b):
+        got = split(classes, tok_a, tok_b, hit_a, hit_b, ends_a, ends_b)
+        assert got == split_by_grouping(classes, tok_a, tok_b, hit_a, hit_b, ends_a, ends_b, len(tok_b))
+        for left, right, _, _ in classes:
+            paths[_split_path((left & hit_a).bit_count(), (right & hit_b).bit_count())] += 1
+        checked.append(got)
+        return got
+
+    monkeypatch.setattr(mces_module, "_split", checked_split)
+    for a, b in _split_pairs(corpus):
+        mces(a, b, budget=512)
+    assert len(checked) > 1000
+    assert len(paths) == 5 and min(paths.values()) > 50, paths  # every path of _split runs
+
+
 def test_bit_count_bound_covers_every_split(corpus, monkeypatch):
     # The search splits a partner only when the bit-count bound leaves room,
     # so wherever it does split, the bound must cover what the exact check
-    # counts: the mapped pair, the free bonds and the child's min sum.
-    bit_count_bound, split = mces_module._bit_count_bound, mces_module._split
-    estimates, checked = [], []
+    # counts: the mapped pair, the free bonds and the child's min sum.  The
+    # search computes the bound inline as ``estimate``; it is read from the
+    # caller's frame and must equal the reference bound of the same inputs.
+    split = mces_module._split
+    checked = []
 
-    def recorded_bound(terms, hit_b):
-        estimates.append(bit_count_bound(terms, hit_b))
-        return estimates[-1]
-
-    def checked_split(*args):
-        children, free, child_bound = split(*args)
-        checked.append(estimates[-1] - (1 + free + child_bound))  # the partner just estimated
+    def checked_split(classes, tok_a, tok_b, hit_a, hit_b, ends_a, ends_b):
+        estimate = sys._getframe(1).f_locals["estimate"]  # this partner's, in the search
+        assert estimate == partner_bound(classes, hit_a, hit_b)
+        children, free, child_bound = split(classes, tok_a, tok_b, hit_a, hit_b, ends_a, ends_b)
+        checked.append(estimate - (1 + free + child_bound))
         return children, free, child_bound
 
-    rng = random.Random(53)
-    pairs = [(rng.choice(corpus), rng.choice(corpus)) for _ in range(150)] + _library_pairs()
-    mols = [tuple(map(mol_from_smiles, pair)) for pair in pairs]
-    monkeypatch.setattr(mces_module, "_bit_count_bound", recorded_bound)
+    mols = _split_pairs(corpus)
     monkeypatch.setattr(mces_module, "_split", checked_split)
     results = [mces(a, b, budget=512) for a, b in mols]
     assert min(checked) >= 0
-    assert len(checked) > 1000 and len(estimates) > 2 * len(checked)
+    assert len(checked) > 1000
 
     # Without the bound every partner is split, and the tree is the same.
-    monkeypatch.setattr(mces_module, "_bit_count_bound", lambda terms, hit_b: 10**6)
+    # The trees match, so the partners estimated are the ones split here.
+    reference_splits = []
+
+    def counted_split(*args):
+        reference_splits.append(1)
+        return split_by_grouping(*args)
+
+    monkeypatch.setattr(oracles, "split_by_grouping", counted_split)
+    monkeypatch.setattr(mces_module, "_mcsplit", mcsplit_splitting_every_partner)
     assert [mces(a, b, budget=512) for a, b in mols] == results
+    assert len(reference_splits) > 2 * len(checked)
+
+
+# SHA-256 of the records below, taken from the search without its per-node
+# fast paths: a faster search must visit the same nodes in the same order.
+SEARCH_ORDER_DIGEST = "6c6f175da534154d167fe220c25cdbc30b6dcaaba4af95ee0619c0bc7206b11d"
+
+
+def test_truncated_searches_keep_their_node_order(corpus):
+    # Slots 7 and 9 read the same common edges at every budget from about
+    # 2**11 nodes, so end values alone cannot catch a reordered tree.  The
+    # best count after each budget can: it rises as the search visits nodes.
+    library = _library_pairs()
+    records = []
+    for slot in (5, 7, 9, 10):
+        a, b = map(mol_from_smiles, library[slot])
+        for e in range(15):
+            r = mces(a, b, budget=2**e)
+            records.append((slot, 2**e, r.common_edges, r.optimal, r.nodes))
+    rng = random.Random(97)
+    pairs = [tuple(map(mol_from_smiles, (rng.choice(corpus), rng.choice(corpus)))) for _ in range(200)]
+    searched = 0
+    for i, (a, b) in enumerate(pairs):
+        if mces(a, b, budget=1).nodes == 0:
+            continue  # the bounds decide this pair without a search
+        searched += 1
+        for budget in range(1, 33):
+            r = mces(a, b, budget=budget)
+            records.append((i, budget, r.common_edges, r.optimal, r.nodes))
+    assert (searched, len(records)) == (75, 60 + 75 * 32)
+    assert hashlib.sha256(repr(records).encode()).hexdigest() == SEARCH_ORDER_DIGEST
 
 
 # Common edges per large-library slot at the default budget.  Slots 7 and 9
