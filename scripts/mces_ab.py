@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
 """Compare two versions of ``similarity/mces.py``: same results, and how fast.
 
-Usage: python scripts/mces_ab.py OLD_MCES_PY NEW_MCES_PY [--rounds N]
+Usage: python scripts/mces_ab.py OLD_MCES_PY NEW_MCES_PY
 
 Both files are loaded as sibling modules of the ``ms2smiles.similarity``
 package (the importable one, else this checkout's ``src``), so each runs
 against the same chemistry code.  Every ``(common_edges, optimal, nodes)``
 is compared on the 11 pairs of ``bench/data/large_library.tsv`` at the
 default budget and on every ``bench/data/pairs.tsv`` pair at budget 4096.
-Then the two versions take turns, alternating which goes first, timing
-each heavy library slot (one whose search expands at least 1000 nodes)
-and the whole of ``pairs.tsv`` in CPU time, with freshly parsed molecules
-each time so every call builds its profiles as a first call would.
+Then the two versions take ``TURNS`` turns each, alternating which goes
+first, timing each heavy library slot (one whose search expands at least
+1000 nodes) and the whole of ``pairs.tsv`` in CPU time, with freshly
+parsed molecules each time so every call builds its profiles as a first
+call would.
 
 Prints the median [lower quartile, upper quartile] CPU-ms per side and the
 old/new ratio of the medians.  Exits 1 if any result differs.  Standard
@@ -31,6 +32,7 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 PAIRS_BUDGET = 4096
 HEAVY_NODES = 1000
+TURNS = 11  # timed turns per side
 
 try:
     import ms2smiles  # noqa: F401
@@ -74,8 +76,6 @@ def cpu_ms(module, pairs, budget: int) -> float:
 
 
 def summary(values: list[float]) -> str:
-    if len(values) < 2:
-        return f"{values[0]:.1f}"
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return f"{median:.1f} [{q1:.1f}, {q3:.1f}]"
 
@@ -84,7 +84,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old", type=Path)
     parser.add_argument("new", type=Path)
-    parser.add_argument("--rounds", type=int, default=7, help="timed turns per side (default 7)")
     args = parser.parse_args(argv)
     sides = {"old": load_sibling(args.old, "_mces_ab_old"), "new": load_sibling(args.new, "_mces_ab_new")}
     budget = sides["old"].DEFAULT_MCES_BUDGET
@@ -105,13 +104,13 @@ def main(argv: list[str] | None = None) -> int:
     workloads = [(f"slot {slot}", [library[slot]], budget) for slot in heavy]
     workloads.append(("pairs.tsv", reference, PAIRS_BUDGET))
     times = {(name, side): [] for name, _, _ in workloads for side in sides}
-    for turn in range(args.rounds):
+    for turn in range(TURNS):
         order = ("old", "new") if turn % 2 == 0 else ("new", "old")
         for name, pairs, pair_budget in workloads:
             for side in order:
                 times[name, side].append(cpu_ms(sides[side], pairs, pair_budget))
 
-    print(f"CPU ms, median [quartiles] of {args.rounds} alternating turns per side")
+    print(f"CPU ms, median [quartiles] of {TURNS} alternating turns per side")
     for name, _, _ in workloads:
         old, new = times[name, "old"], times[name, "new"]
         ratio = statistics.median(old) / statistics.median(new)

@@ -409,11 +409,14 @@ def _split(
                 out.append((group, moved_right, group.bit_count(), 1))
                 bound += 1
             continue
+        # A class's bonds share one label, so one homonuclear flag serves
+        # both sides.
+        homo = ends_a[moved_left.bit_length() - 1][2]
         groups = []  # [x, y, A-bonds, B-bonds] per end tokens, in A-bond order
         while moved_left:
             bit = moved_left & -moved_left
             moved_left ^= bit
-            s, t, homo = ends_a[bit.bit_length() - 1]
+            s, t, _ = ends_a[bit.bit_length() - 1]
             x, y = tok_a[s], tok_a[t]
             for group in groups:
                 if group[0] == x and group[1] == y or homo and group[0] == y and group[1] == x:
@@ -544,6 +547,7 @@ def _mcsplit(
             todo ^= bit_w
             w = bit_w.bit_length() - 1
             hit_b = closed_b[w] ^ fixed_b | bit_w
+            # tests/test_mces.py reads the bound by the name ``estimate``.
             if single:
                 moved_right = (right & hit_b).bit_count()
                 unmoved_right = n_right - moved_right

@@ -429,7 +429,9 @@ def test_bit_count_bound_covers_every_split(corpus, monkeypatch):
     checked = []
 
     def checked_split(classes, tok_a, tok_b, hit_a, hit_b, ends_a, ends_b):
-        estimate = sys._getframe(1).f_locals["estimate"]  # this partner's, in the search
+        search_locals = sys._getframe(1).f_locals  # the search node that splits
+        assert "estimate" in search_locals, "the search no longer names its partner bound `estimate`"
+        estimate = search_locals["estimate"]
         assert estimate == partner_bound(classes, hit_a, hit_b)
         children, free, child_bound = split(classes, tok_a, tok_b, hit_a, hit_b, ends_a, ends_b)
         checked.append(estimate - (1 + free + child_bound))
