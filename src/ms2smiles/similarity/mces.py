@@ -18,21 +18,15 @@ cheapest first:
    common edges at those atoms.  Per edge label these counts add up to at
    most twice the shared count, so the bound never exceeds the shared
    label multiset and is 0 exactly when it is.  A 0 ends the call, and so
-   do identical structures (``chem.canon.same_structure``).
-2. Seeded lower bound.  Same-element atom pairs are ranked by the radius
-   (0-4) to which their circular environments agree.  Only the pairs that
-   agree at radius 1 are sorted; every other pair agrees at radius 0 alone
-   and follows in index order.  From each of the best ``_SEEDS`` pairs one
-   element-preserving injective mapping is grown along same-order bonds,
-   then restarted from the next unmapped ranked pair, and the A-bonds whose
-   image is a same-order B-bond are counted.  The first seed that reaches
-   the upper bound ends the call.
-3. Partition search, only for pairs still open: a McSplit branch and bound
+   do identical structures (``chem.canon.same_structure``).  A positive
+   bound means some edge label is shared, so one edge is common: the lower
+   bound starts at 1, and a bound of 1 ends the call too.
+2. Partition search, only for pairs still open: a McSplit branch and bound
    (McCreesh, Prosser & Trimble, IJCAI 2017) over the two bond line graphs.
    Mapping a bond also maps its atoms, so every result is an injective,
    element-preserving atom map (which rules out the triangle/star
-   line-graph ambiguity).  It runs from the lower bound and stops at the
-   upper one.  Mapping a bond v to a partner w moves only the bonds at
+   line-graph ambiguity).  It runs from the lower bound of 1 and stops at
+   the upper one.  Mapping a bond v to a partner w moves only the bonds at
    their atoms to new classes, so before building the child the search
    bounds it from bit counts: a class with nL and nR unmoved and mL and mR
    moved bonds keeps at most min(nL, nR) + min(mL, mR) pairs.  A partner
@@ -49,31 +43,28 @@ cheapest first:
 
 ``optimal=True`` means the lower bound met the upper bound, or the search
 finished, so the count is the maximum.  ``nodes`` counts the search nodes
-expanded, 0 when no search ran.  The budget counts search nodes; seeding is
-fixed work outside it.  A search that would expand a node past the budget
-stops with ``optimal=False`` and its largest lower bound: a lower bound on
-the common edge count, hence an upper bound on the dissimilarity.  No clock
-is read, so every result is a function of the molecules and the budget.
+expanded, 0 when no search ran.  The budget counts search nodes.  A search
+that would expand a node past the budget stops with ``optimal=False`` and
+its largest lower bound: a lower bound on the common edge count, hence an
+upper bound on the dissimilarity.  No clock is read, so every result is a
+function of the molecules and the budget.
 
 Everything read from one molecule (labelled edges, per-atom bond masks and
-counts, environment codes, and the search's bond ends, closed neighbourhoods
-and bonds by line-graph degree) is built once and cached on the ``Molecule``.
+counts, and the search's bond ends, closed neighbourhoods and bonds by
+line-graph degree) is built once and cached on the ``Molecule``.
 ``mces_floor`` gives the dissimilarity that the degree-sequence bound
 allows, a lower bound on any ``mces`` result, without any search.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import Counter
 from dataclasses import dataclass
 
-from ..chem.canon import canonical_smiles, same_structure, stable_hash
+from ..chem.canon import canonical_smiles, same_structure
 from ..chem.mol import Molecule
 
-_SEEDS = 10
-_ENV_RADIUS = 4
-DEFAULT_MCES_BUDGET = 16384  # search nodes; the benchmark's certified pairs need at most 10 002
+DEFAULT_MCES_BUDGET = 16384  # search nodes; the benchmark's certified pairs need at most 10 011
 
 
 @dataclass(frozen=True)
@@ -90,12 +81,8 @@ class _Profile:
 
     edges: list[tuple[int, int, tuple]]  # (atom, atom, label) per bond
     elements: list[str]
-    by_element: dict[str, list[int]]  # atom indices, ascending
-    by_env1: dict[tuple[str, int], list[int]]  # by (element, radius-1 code), ascending
-    neighbors: list[list[tuple[int, int]]]  # (neighbour, order), by neighbour index
     bond_mask: list[int]  # per atom, bit i set for each bond ``edges[i]`` at it
     degrees: dict[tuple, list[int]]  # (element, neighbour element, order) -> counts, descending
-    env: list[tuple[int, ...]]  # environment codes at radius 0.._ENV_RADIUS
     ends: list[tuple[int, int, bool]]  # (atom, atom, homonuclear) per bond
     closed: list[int]  # per bond, the mask of the bonds sharing an atom with it, itself included
     degree_masks: list[int]  # bonds by line-graph degree, highest degree first
@@ -136,10 +123,10 @@ def mces(a: Molecule, b: Molecule, budget: int = DEFAULT_MCES_BUDGET) -> McesRes
     def result(common: int, optimal: bool, nodes: int = 0) -> McesResult:
         return McesResult(common, _dissim(common, max_e), optimal, nodes)
 
-    best = max(_seeded_lower_bound(pa, pb, upper), 1)  # one compatible edge pair is common
-    if best >= upper:
-        return result(best, True)
-    return result(*_mcsplit(pa, pb, best, upper, budget))
+    # The bound is positive, so some edge label is shared: one edge is common.
+    if upper == 1:
+        return result(1, True)
+    return result(*_mcsplit(pa, pb, 1, upper, budget))
 
 
 def mces_floor(a: Molecule, b: Molecule) -> float:
@@ -179,41 +166,19 @@ def _profile(mol: Molecule) -> _Profile:
 def _build_profile(mol: Molecule) -> _Profile:
     edges = _labeled_edges(mol)
     elements = [atom.element for atom in mol.atoms]
-    by_element: dict[str, list[int]] = {}
-    for i, element in enumerate(elements):
-        by_element.setdefault(element, []).append(i)
-    neighbors: list[list[tuple[int, int]]] = [[] for _ in elements]
     bond_mask = [0] * len(elements)
+    tally: Counter[tuple] = Counter()  # (atom, neighbour element, order) -> bonds
     for i, (u, v, (_, order)) in enumerate(edges):
-        neighbors[u].append((v, order))
-        neighbors[v].append((u, order))
         bond_mask[u] |= 1 << i
         bond_mask[v] |= 1 << i
-    for row in neighbors:
-        row.sort()
+        tally[u, elements[v], order] += 1
+        tally[v, elements[u], order] += 1
 
     degrees: dict[tuple, list[int]] = {}
-    for i, row in enumerate(neighbors):
-        counts = Counter((elements[j], order) for j, order in row)
-        for (element, order), count in counts.items():
-            degrees.setdefault((elements[i], element, order), []).append(count)
+    for (atom, element, order), count in tally.items():
+        degrees.setdefault((elements[atom], element, order), []).append(count)
     for counts in degrees.values():
         counts.sort(reverse=True)
-
-    # Environment codes are compared only for equality.  Radius 0 hashes the
-    # element with a process-independent digest; wider radii hash tuples of
-    # ints, whose ``hash`` does not depend on PYTHONHASHSEED.
-    element_code = {element: stable_hash("mces-env", element) for element in by_element}
-    layers = [[element_code[element] for element in elements]]
-    for _ in range(_ENV_RADIUS):
-        codes = layers[-1]
-        layers.append([
-            hash((codes[i], tuple(sorted([(order, codes[j]) for j, order in row]))))
-            for i, row in enumerate(neighbors)
-        ])
-    by_env1: dict[tuple[str, int], list[int]] = {}
-    for i, element in enumerate(elements):
-        by_env1.setdefault((element, layers[1][i]), []).append(i)
 
     closed = [bond_mask[u] | bond_mask[v] for u, v, _ in edges]
     by_degree: dict[int, int] = {}  # by line-graph degree plus one (the bond itself)
@@ -224,12 +189,8 @@ def _build_profile(mol: Molecule) -> _Profile:
     return _Profile(
         edges=edges,
         elements=elements,
-        by_element=by_element,
-        by_env1=by_env1,
-        neighbors=neighbors,
         bond_mask=bond_mask,
         degrees=degrees,
-        env=list(zip(*layers)),
         ends=[(u, v, e1 == e2) for u, v, ((e1, e2), _) in edges],
         closed=closed,
         degree_masks=[by_degree[d] for d in sorted(by_degree, reverse=True)],
@@ -244,90 +205,6 @@ def _degree_sequence_bound(pa: _Profile, pb: _Profile) -> int:
         if other:
             total += sum(map(min, counts, other))
     return total // 2
-
-
-def _seeded_lower_bound(pa: _Profile, pb: _Profile, upper: int) -> int:
-    """Best common edge count over the seeded mappings."""
-    env_a, env_b = pa.env, pb.env
-    elem_a, elem_b = pa.elements, pb.elements
-    nbrs_a, nbrs_b = pa.neighbors, pb.neighbors
-    by_element_b = pb.by_element
-
-    def depth(u: int, v: int) -> int:
-        d = 0
-        for x, y in zip(env_a[u], env_b[v]):
-            if x != y:
-                break
-            d += 1
-        return d
-
-    # Pairs that agree at radius 1 are ranked by depth.  Every other
-    # same-element pair has depth 1 and ranks after them in (u, v) order.
-    deep = sorted(
-        [
-            (-depth(u, v), u, v)
-            for key, atoms in pa.by_env1.items()
-            for v in pb.by_env1.get(key, ())
-            for u in atoms
-        ]
-    )
-    seeds = [(u, v) for _, u, v in deep[:_SEEDS]]
-    if len(seeds) < _SEEDS:
-        shallow = (
-            (u, v)
-            for u, element in enumerate(elem_a)
-            for v in by_element_b.get(element, ())
-            if env_a[u][1] != env_b[v][1]
-        )
-        seeds += itertools.islice(shallow, _SEEDS - len(seeds))
-
-    def grow(u0: int, v0: int) -> None:
-        phi[u0] = v0
-        used[v0] = True
-        queue = [u0]
-        for u in queue:
-            row_b = nbrs_b[phi[u]]
-            for u2, order in nbrs_a[u]:
-                if phi[u2] >= 0:
-                    continue
-                # Neighbours are in index order, so a tie keeps the lower index.
-                element = elem_a[u2]
-                pick, pick_depth = -1, 0
-                for v2, order2 in row_b:
-                    if order2 == order and not used[v2] and elem_b[v2] == element:
-                        d = depth(u2, v2)
-                        if d > pick_depth:
-                            pick, pick_depth = v2, d
-                if pick >= 0:
-                    phi[u2] = pick
-                    used[pick] = True
-                    queue.append(u2)
-
-    best = 0
-    for u0, v0 in seeds:
-        phi = [-1] * len(elem_a)
-        used = [False] * len(elem_b)
-        grow(u0, v0)
-        for _, u, v in deep:
-            if phi[u] < 0 and not used[v]:
-                grow(u, v)
-        # Every deep pair now has a mapped or used atom, so the next ranked
-        # pair for an unmapped u is its first unused same-element partner.
-        for u, element in enumerate(elem_a):
-            if phi[u] < 0:
-                for v in by_element_b.get(element, ()):
-                    if not used[v]:
-                        grow(u, v)
-                        break
-        common = 0
-        for u, v, (_, order) in pa.edges:
-            x, y = phi[u], phi[v]
-            if x >= 0 and y >= 0 and (y, order) in nbrs_b[x]:
-                common += 1
-        best = max(best, common)
-        if best >= upper:
-            break
-    return best
 
 
 def _split(

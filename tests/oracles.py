@@ -79,74 +79,6 @@ def adjacency_set(mol: Molecule) -> set[tuple[str, str, int]]:
     return out
 
 
-
-def seeded_lower_bound_all_pairs(pa, pb, upper: int, seeds: int) -> int:
-    """The MCES seeded lower bound, ranking every same-element atom pair.
-
-    ``pa`` and ``pb`` are the two molecules' MCES profiles.  Every pair is
-    ranked by (-depth, u, v), where depth counts the leading environment
-    radii on which the two atoms agree.  From each of the first ``seeds``
-    pairs a mapping is grown breadth-first along same-order bonds (each
-    neighbour takes its unused same-element, same-order partner of greatest
-    depth, the lowest index on a tie), then restarted from every ranked pair
-    whose atoms are both still free.  Returns the best common edge count,
-    stopping at the first seed that reaches ``upper``.
-    """
-
-    def depth(u: int, v: int) -> int:
-        d = 0
-        for x, y in zip(pa.env[u], pb.env[v]):
-            if x != y:
-                break
-            d += 1
-        return d
-
-    ranked = sorted(
-        (-depth(u, v), u, v)
-        for u, element in enumerate(pa.elements)
-        for v, other in enumerate(pb.elements)
-        if element == other
-    )
-
-    def grow(u0: int, v0: int) -> None:
-        phi[u0] = v0
-        used[v0] = True
-        queue = [u0]
-        for u in queue:
-            for u2, order in pa.neighbors[u]:
-                if phi[u2] >= 0:
-                    continue
-                pick, pick_depth = -1, 0
-                for v2, order2 in pb.neighbors[phi[u]]:
-                    if order2 == order and not used[v2] and pb.elements[v2] == pa.elements[u2]:
-                        if depth(u2, v2) > pick_depth:
-                            pick, pick_depth = v2, depth(u2, v2)
-                if pick >= 0:
-                    phi[u2] = pick
-                    used[pick] = True
-                    queue.append(u2)
-
-    best = 0
-    for _, u0, v0 in ranked[:seeds]:
-        phi = [-1] * len(pa.elements)
-        used = [False] * len(pb.elements)
-        grow(u0, v0)
-        for _, u, v in ranked:
-            if phi[u] < 0 and not used[v]:
-                grow(u, v)
-        bonds_b = {(x, y, order) for x, y, (_, order) in pb.edges}
-        common = sum(
-            1
-            for u, v, (_, order) in pa.edges
-            if phi[u] >= 0 and phi[v] >= 0
-            and ((phi[u], phi[v], order) in bonds_b or (phi[v], phi[u], order) in bonds_b)
-        )
-        best = max(best, common)
-        if best >= upper:
-            break
-    return best
-
-
 def refine_ranks_rehashing(seeds, adjacency) -> tuple[list[int], list[int]]:
     """Morgan-style refinement that hashes every atom in every round.
 

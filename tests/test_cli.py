@@ -183,7 +183,7 @@ def test_mces_subcommand(capsys):
     assert "dissimilarity: 0.500000" in capsys.readouterr().out
     assert main(["mces", "CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1", "CCCCCCCCCc1ccc(O)cc1"]) == 0
     out = capsys.readouterr().out
-    assert "common_edges: 13\n" in out and "optimal: true\n" in out and "nodes: 3210\n" in out
+    assert "common_edges: 13\n" in out and "optimal: true\n" in out and "nodes: 4023\n" in out
 
 
 def test_mces_subcommand_rejects_bad_smiles(capsys):

@@ -5,17 +5,15 @@ import hashlib
 import importlib
 import itertools
 import math
-import os
 import random
-import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-import ms2smiles
 from ms2smiles.chem import canonical_formula, mol_from_smiles, molecular_formula, write_smiles
+from ms2smiles.chem.canon import canonical_smiles, same_structure
 from ms2smiles.chem.mol import Molecule
 from ms2smiles.similarity import DEFAULT_MCES_BUDGET, McesResult, mces, mces_floor
 
@@ -24,7 +22,6 @@ from oracles import (
     brute_force_mces,
     mcsplit_splitting_every_partner,
     partner_bound,
-    seeded_lower_bound_all_pairs,
     split_by_grouping,
 )
 
@@ -104,7 +101,8 @@ def test_removing_an_edge_never_helps():
         assert mces(smaller, other, budget=10**6).common_edges <= full
 
 
-# The search needs 3210 nodes to prove 13 common edges; seeding finds 12.
+# From its starting bound of 1, the search needs 4023 nodes to prove 13
+# common edges.
 TERT_BUTYL_VS_NONYLPHENOL = ("CC(C)(C)c1ccc(C(=O)c2ccc(C(C)(C)C)cc2)cc1", "CCCCCCCCCc1ccc(O)cc1")
 
 
@@ -133,17 +131,38 @@ def test_result_bounds(corpus):
 def test_node_budget_in_search_returns_best_lower_bound():
     a, b = (mol_from_smiles(s) for s in TERT_BUTYL_VS_NONYLPHENOL)
     pa, pb = mces_module._profile(a), mces_module._profile(b)
-    seeded = mces_module._seeded_lower_bound(pa, pb, a.n_bonds)
-    assert seeded < mces_module._degree_sequence_bound(pa, pb)
-    # The root maps no bond, so a one-node search returns the seeded bound.
-    assert mces(a, b, budget=1) == McesResult(seeded, 1 - seeded / a.n_bonds, False, 1)
+    assert 1 < mces_module._degree_sequence_bound(pa, pb)
+    # The root maps no bond, so a one-node search returns the starting bound.
+    assert mces(a, b, budget=1) == McesResult(1, 1 - 1 / a.n_bonds, False, 1)
+
+
+def test_one_node_finds_the_one_common_edge_it_starts_from(corpus):
+    # A positive degree-sequence bound means a shared edge label, so one
+    # edge is common before any search.  With a bound of 2 or more the
+    # search runs from that 1, and its root maps no bond.
+    rng = random.Random(59)
+    mols = {s: mol_from_smiles(s) for s in rng.sample(corpus, 80)}
+    outcomes = Counter()
+    for sa, sb in itertools.combinations(mols, 2):
+        a, b = mols[sa], mols[sb]
+        if same_structure(a, b, canonical_smiles):
+            continue
+        pa, pb = mces_module._profile(a), mces_module._profile(b)
+        if mces_module._degree_sequence_bound(pa, pb) < 2:
+            continue
+        r = mces(a, b, budget=1)
+        assert (r.common_edges, r.nodes) == (1, 1), (sa, sb)
+        if r.optimal:  # the root pruned every child: 1 is the maximum
+            assert mces(a, b, budget=10**6).common_edges == 1, (sa, sb)
+        outcomes[r.optimal] += 1
+    assert outcomes == {False: 2711, True: 19}
 
 
 def _bound_chain(a, b) -> tuple[int, int]:
-    """Seeded lower bound and the degree-sequence upper bound."""
+    """The search's starting lower bound and the degree-sequence upper bound."""
     pa, pb = mces_module._profile(a), mces_module._profile(b)
-    no_cap = a.n_bonds + b.n_bonds + 1
-    return mces_module._seeded_lower_bound(pa, pb, no_cap), mces_module._degree_sequence_bound(pa, pb)
+    degree = mces_module._degree_sequence_bound(pa, pb)
+    return min(degree, 1), degree
 
 
 def _shared_label_count(a, b) -> int:
@@ -163,10 +182,10 @@ def test_bounds_bracket_the_oracle(corpus):
     pairs += list(itertools.combinations(special, 2))
     for sa, sb in pairs:
         a, b = mol_from_smiles(sa), mol_from_smiles(sb)
-        seeded, degree = _bound_chain(a, b)
+        lower, degree = _bound_chain(a, b)
         label = _shared_label_count(a, b)
         exact = brute_force_mces(a, b)
-        assert seeded <= exact <= degree <= label, (sa, sb)
+        assert lower <= exact <= degree <= label, (sa, sb)
         assert (degree == 0) == (label == 0), (sa, sb)
         result = mces(a, b, budget=10**6)
         assert result.optimal and result.common_edges == exact
@@ -206,51 +225,25 @@ PEPTIDE_ANALOG = (
 
 
 @pytest.mark.parametrize(("pair", "common"), [(STEROID_ANALOG, 55), (PEPTIDE_ANALOG, 58)])
-def test_large_analogs_are_certified_without_search(monkeypatch, pair, common):
-    # Seeding meets the degree-sequence bound on the peptide pair.  On the
-    # steroid pair it stops one edge short and a short search proves 55.
-    seeded_to_the_bound = pair == PEPTIDE_ANALOG
-
-    def no_search(*args):
-        raise AssertionError("the partition search ran")
-
-    if seeded_to_the_bound:
-        monkeypatch.setattr(mces_module, "_mcsplit", no_search)
+def test_large_analogs_are_certified_by_a_short_search(pair, common):
     a, b = (mol_from_smiles(s) for s in pair)
     result = mces(a, b)
     assert result.optimal
     assert result.common_edges == common
     assert result.dissimilarity == 1 - common / max(a.n_bonds, b.n_bonds)
-    assert (result.nodes == 0) == seeded_to_the_bound
-
-
-def test_seeding_runs_every_seed_whatever_the_budget(monkeypatch):
-    # Seeding is fixed work outside the node budget: a pair the seeds
-    # certify expands no node, and one node still gets every seed's bound.
-    a, b = (mol_from_smiles(s) for s in PEPTIDE_ANALOG)
-    assert mces(a, b, budget=1) == McesResult(58, 1 - 58 / max(a.n_bonds, b.n_bonds), True, 0)
-
-    a, b = (mol_from_smiles(s) for s in TERT_BUTYL_VS_NONYLPHENOL)
-    pa, pb = mces_module._profile(a), mces_module._profile(b)
-    upper = mces_module._degree_sequence_bound(pa, pb)
-    every_seed = mces_module._seeded_lower_bound(pa, pb, upper)
-    monkeypatch.setattr(mces_module, "_SEEDS", 1)
-    assert mces_module._seeded_lower_bound(pa, pb, upper) < every_seed
-    monkeypatch.undo()
-    assert mces(a, b, budget=1).common_edges == every_seed
+    assert result.nodes == ANALOG_NODES[pair]
 
 
 def test_search_stops_at_exactly_the_node_budget():
     a, b = (mol_from_smiles(s) for s in TERT_BUTYL_VS_NONYLPHENOL)
     pa, pb = mces_module._profile(a), mces_module._profile(b)
-    seeded = mces_module._seeded_lower_bound(pa, pb, a.n_bonds)
     upper = mces_module._degree_sequence_bound(pa, pb)
-    full, finished, full_nodes = mces_module._mcsplit(pa, pb, seeded, upper, 10**6)
+    full, finished, full_nodes = mces_module._mcsplit(pa, pb, 1, upper, 10**6)
     assert finished and full < upper and full_nodes > 768
 
-    found, finished, nodes = mces_module._mcsplit(pa, pb, seeded, upper, 768)
+    found, finished, nodes = mces_module._mcsplit(pa, pb, 1, upper, 768)
     assert not finished and nodes == 768
-    assert seeded <= found <= full
+    assert 1 <= found <= full
     assert mces(a, b, budget=768) == McesResult(found, 1 - found / a.n_bonds, False, 768)
     # The search that needs exactly the budget finishes; one node less does not.
     assert mces(a, b, budget=full_nodes) == McesResult(full, 1 - full / a.n_bonds, True, full_nodes)
@@ -291,8 +284,11 @@ GLYCOSIDE_VS_STEROID = (
 # Nodes the partition search expands per large-library slot at the default
 # budget, 0 where the bounds meet without a search.  The counts pin the
 # branching order: a faster search must visit the same tree.
-LIBRARY_NODES = [0, 5, 0, 14, 0, 10_002, 16, 16_384, 0, 16_384, 2_367]
+LIBRARY_NODES = [7, 9, 45, 14, 39, 10_011, 59, 16_384, 93, 16_384, 2_593]
 DECOY_NODES = {LIPID_VS_GLYCOSIDE: LIBRARY_NODES[5], GLYCOSIDE_VS_STEROID: LIBRARY_NODES[10]}
+# The analogs are slots 6 and 8.  The search reaches the peptide's
+# degree-sequence bound, and proves the steroid one edge short of its own.
+ANALOG_NODES = {STEROID_ANALOG: LIBRARY_NODES[6], PEPTIDE_ANALOG: LIBRARY_NODES[8]}
 
 
 @pytest.mark.parametrize(("pair", "common"), [(LIPID_VS_GLYCOSIDE, 18), (GLYCOSIDE_VS_STEROID, 22)])
@@ -302,39 +298,6 @@ def test_decoy_pairs_are_certified(pair, common):
     assert result.optimal
     assert result.common_edges == common
     assert result.nodes == DECOY_NODES[pair]
-
-
-_SEEDING_SCRIPT = """
-import importlib, math, sys
-from ms2smiles.chem import mol_from_smiles
-mces_module = importlib.import_module("ms2smiles.similarity.mces")
-smiles = sys.stdin.read().split()
-for sa, sb in zip(smiles[::2], smiles[1::2]):
-    pa = mces_module._profile(mol_from_smiles(sa))
-    pb = mces_module._profile(mol_from_smiles(sb))
-    print(mces_module._seeded_lower_bound(pa, pb, 10**6), pa.env[:3])
-"""
-
-
-def test_seeding_does_not_depend_on_the_hash_seed(corpus):
-    rng = random.Random(41)
-    smiles = rng.sample(corpus, 40) + list(STEROID_ANALOG) + list(PEPTIDE_ANALOG)
-    src = str(Path(ms2smiles.__file__).resolve().parents[1])
-    outputs = []
-    for hash_seed in ("1", "2"):
-        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
-        proc = subprocess.run(
-            [sys.executable, "-c", _SEEDING_SCRIPT],
-            input="\n".join(smiles),
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-            check=True,
-        )
-        outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
-    assert len(outputs[0].splitlines()) == len(smiles) // 2
 
 
 @pytest.mark.parametrize("budget", [math.nan, 0.0, -1.0, 0, -1, 1.0, 0.5, True, "16"])
@@ -362,23 +325,12 @@ def test_reference_pairs_keep_their_certified_values():
         assert result.dissimilarity == float(row["mces"]), row
         nodes.append(result.nodes)
     # The node total pins the search tree over every searched pair.
-    assert (sum(nodes), sum(n > 0 for n in nodes)) == (7239, 709)
+    assert (sum(nodes), sum(n > 0 for n in nodes)) == (20108, 2189)
 
 
 def _library_pairs() -> list[tuple[str, str]]:
     with open(BENCH_DATA / "large_library.tsv", newline="", encoding="utf-8") as fh:
         return [(row["ground_truth"], row["candidate"]) for row in csv.DictReader(fh, delimiter="\t")]
-
-
-def test_seeding_equals_the_all_pairs_ranking(corpus):
-    rng = random.Random(43)
-    pairs = [(rng.choice(corpus), rng.choice(corpus)) for _ in range(150)]
-    pairs += _library_pairs()  # both analog and all four decoy pairs among them
-    for sa, sb in pairs:
-        pa, pb = (mces_module._profile(mol_from_smiles(s)) for s in (sa, sb))
-        for upper in (10**6, mces_module._degree_sequence_bound(pa, pb)):
-            expected = seeded_lower_bound_all_pairs(pa, pb, upper, mces_module._SEEDS)
-            assert mces_module._seeded_lower_bound(pa, pb, upper) == expected, (sa, sb)
 
 
 def _split_pairs(corpus) -> list[tuple[Molecule, Molecule]]:
@@ -459,7 +411,7 @@ def test_bit_count_bound_covers_every_split(corpus, monkeypatch):
 
 # SHA-256 of the records below, taken from the search without its per-node
 # fast paths: a faster search must visit the same nodes in the same order.
-SEARCH_ORDER_DIGEST = "6c6f175da534154d167fe220c25cdbc30b6dcaaba4af95ee0619c0bc7206b11d"
+SEARCH_ORDER_DIGEST = "82f7bca294f267aec8b96a087bf9976cdc9961304279290727579445f98b8433"
 
 
 def test_truncated_searches_keep_their_node_order(corpus):
@@ -483,7 +435,7 @@ def test_truncated_searches_keep_their_node_order(corpus):
         for budget in range(1, 33):
             r = mces(a, b, budget=budget)
             records.append((i, budget, r.common_edges, r.optimal, r.nodes))
-    assert (searched, len(records)) == (75, 60 + 75 * 32)
+    assert (searched, len(records)) == (180, 60 + 180 * 32)
     assert hashlib.sha256(repr(records).encode()).hexdigest() == SEARCH_ORDER_DIGEST
 
 
