@@ -20,8 +20,10 @@ first, timing each heavy library slot (one whose search expands at least
 builds its profiles as a first call would.
 
 Prints the median [lower quartile, upper quartile] CPU-ms per side and the
-old/new ratio of the medians.  Exits 1 if any value or ``optimal`` flag
-differs, whatever the node counts.  Standard library only.
+old/new ratio of the medians, then one closing line saying whether every
+set and budget had identical values and 0 node differences, that is,
+whether the two versions search the same tree.  Exits 1 if any value or
+``optimal`` flag differs, whatever the node counts.  Standard library only.
 """
 
 from __future__ import annotations
@@ -96,6 +98,7 @@ def main(argv: list[str] | None = None) -> int:
     reference = read_pairs("pairs.tsv", ("ground_truth", "candidate"))
 
     same = True
+    node_diffs = 0
     library_nodes = []
     for label, pairs in (("library", library), ("pairs.tsv", reference)):
         for pair_budget in (PAIRS_BUDGET, budget):
@@ -104,6 +107,7 @@ def main(argv: list[str] | None = None) -> int:
             same = same and not diff
             status = "values identical" if not diff else f"values DIFFERENT at {len(diff)} pairs, first {diff[:10]}"
             moved = sum(x[2] != y[2] for x, y in zip(old, new))
+            node_diffs += moved
             totals = f"old {sum(r[2] for r in old)}, new {sum(r[2] for r in new)}"
             print(f"{label}: {len(pairs)} pairs at budget {pair_budget}, {status}; "
                   f"nodes differ at {moved} pairs (totals {totals})")
@@ -125,6 +129,11 @@ def main(argv: list[str] | None = None) -> int:
         old, new = times[name, "old"], times[name, "new"]
         ratio = statistics.median(old) / statistics.median(new)
         print(f"{name:>10}: old {summary(old)}  new {summary(new)}  old/new {ratio:.2f}x")
+    if same and not node_diffs:
+        print("same tree: identical values and 0 node differences at every set and budget")
+    else:
+        values = "identical values" if same else "values DIFFERENT"
+        print(f"not the same tree: {values}, nodes differ at {node_diffs} pairs over all sets and budgets")
     return 0 if same else 1
 
 

@@ -30,8 +30,10 @@ from .chem.mol import Molecule
 SPLITS = ("train", "val", "test")
 
 # Entries per memo and process.  A bench/data/large_library.tsv molecule holds
-# ~10 KiB prepared and ~44 KiB once MCES has cached its profile on it (corpus
-# molecules: 4 and 14 KiB), measured with tracemalloc.
+# ~11 KiB prepared and ~17 KiB once MCES has cached its profile on it (corpus
+# molecules: 4 and 9 KiB).  Measured with tracemalloc as the traced growth per
+# molecule from filling the cleared memo with the set, then profiling each
+# molecule, after one such fill so that first-use allocations are not counted.
 MEMO_SIZE = 2048
 
 WEIGHT_BIN_EDGES = (200.0, 400.0, 600.0, 800.0)

@@ -16,14 +16,18 @@ Scoring for one spectrum:
 
 Invalid candidates are skipped inside the top-k scans, never zero-scored.
 
-The rank-0 candidate is always searched, so MCES top-1 is its own value.
-Past rank 0, a candidate is searched only when its ``mces_floor`` lies
-below the running top-k minimum.  The floor is the dissimilarity that the
-degree-sequence bound on the common edge count allows (per bond class, the
-two molecules' per-atom counts of incident bonds, paired off).  Any result
-of the candidate's search, truncated or not, is at least that floor and so
-could not lower the minimum.  Top-1 and top-k values are therefore those of
-searching every candidate, and ``mces_truncated`` flags a truncated search
+A valid rank-0 candidate is searched first, so MCES top-1 is its own
+value.  The other valid candidates in the top k are then scanned in order
+of their ``mces_floor``, lowest first and ties by rank, and the scan stops
+at the first whose floor is at or above the running top-k minimum (no floor
+is computed when rank 0 already gives 0.0).  The floor is the dissimilarity
+that the degree-sequence bound on the common edge count allows (per bond
+class, the two molecules' per-atom counts of incident bonds, paired off).
+Any result of a candidate's search, truncated or not, is at least that
+floor, so no candidate the scan skips could lower the minimum.  Top-1 and
+top-k values are therefore those of searching every candidate.  A candidate
+is searched only when its floor lies below the minimum of rank 0 and every
+lower-floor candidate, and ``mces_truncated`` flags a truncated search
 among those that ran; a search stops after ``mces_budget`` nodes, never on
 a clock, so it truncates alike on every machine.  ``k`` below 1 is rejected.
 
@@ -149,9 +153,7 @@ def score_spectrum(
     exact_topk = False
     mts_top1 = 0.0
     mts_topk = 0.0
-    mces_top1 = 1.0
-    mces_topk = 1.0
-    truncated = False
+    later = []  # (rank, smiles, molecule) of each valid candidate past rank 0
     for rank, (smiles, cand) in enumerate(zip(candidates[:k], prepared[:k])):
         if cand is None:
             continue
@@ -160,16 +162,29 @@ def score_spectrum(
         if rank == 0:
             exact_top1 = exact
             mts_top1 = similarity
+        else:
+            later.append((rank, smiles, cand.mol))
         exact_topk = exact_topk or exact
         mts_topk = max(mts_topk, similarity)
-        # Past rank 0, a candidate whose floor cannot go below the current
-        # minimum would not move it, whatever its search returned.
-        if rank == 0 or mces_floor(gt.mol, cand.mol) < mces_topk:
+
+    # Rank 0 is searched for its own top-1 value.  The rest go lowest floor
+    # first, ties by rank, and the scan stops at the first floor at or above
+    # the running minimum: every search result is at least its floor, so no
+    # later candidate could lower it.
+    mces_top1 = 1.0
+    truncated = False
+    if prepared and prepared[0] is not None:
+        result = pair_mces(record.ground_truth, candidates[0], mces_budget)
+        truncated = not result.optimal
+        mces_top1 = result.dissimilarity
+    mces_topk = mces_top1
+    if mces_topk > 0.0:
+        for floor, _, smiles in sorted((mces_floor(gt.mol, mol), rank, smiles) for rank, smiles, mol in later):
+            if floor >= mces_topk:
+                break
             result = pair_mces(record.ground_truth, smiles, mces_budget)
             truncated = truncated or not result.optimal
             mces_topk = min(mces_topk, result.dissimilarity)
-            if rank == 0:
-                mces_top1 = result.dissimilarity
 
     return PerSpectrumMetrics(
         record_id=record.id,

@@ -50,8 +50,9 @@ upper bound on the dissimilarity.  No clock is read, so every result is a
 function of the molecules and the budget.
 
 Everything read from one molecule (labelled edges, per-atom bond masks and
-counts, and the search's bond ends, closed neighbourhoods and bonds by
-line-graph degree) is built once and cached on the ``Molecule``.
+counts, and the search's bond ends, closed neighbourhoods, bonds by
+line-graph degree and bonds by edge label) is built once and cached on the
+``Molecule``.
 ``mces_floor`` gives the dissimilarity that the degree-sequence bound
 allows, a lower bound on any ``mces`` result, without any search.
 """
@@ -86,6 +87,7 @@ class _Profile:
     ends: list[tuple[int, int, bool]]  # (atom, atom, homonuclear) per bond
     closed: list[int]  # per bond, the mask of the bonds sharing an atom with it, itself included
     degree_masks: list[int]  # bonds by line-graph degree, highest degree first
+    by_label: dict[tuple, int]  # edge label -> mask of its bonds, in first-bond order
 
 
 def check_budget(budget: int) -> None:
@@ -185,6 +187,9 @@ def _build_profile(mol: Molecule) -> _Profile:
     for i, neighbourhood in enumerate(closed):
         d = neighbourhood.bit_count()
         by_degree[d] = by_degree.get(d, 0) | 1 << i
+    by_label: dict[tuple, int] = {}
+    for i, (_, _, label) in enumerate(edges):
+        by_label[label] = by_label.get(label, 0) | 1 << i
 
     return _Profile(
         edges=edges,
@@ -194,6 +199,7 @@ def _build_profile(mol: Molecule) -> _Profile:
         ends=[(u, v, e1 == e2) for u, v, ((e1, e2), _) in edges],
         closed=closed,
         degree_masks=[by_degree[d] for d in sorted(by_degree, reverse=True)],
+        by_label=by_label,
     )
 
 
@@ -362,7 +368,7 @@ def _mcsplit(
     finished (or reached ``upper``), and the nodes expanded.  A node past
     the ``budget``-th is never expanded: the search stops unfinished.
     """
-    edges_a, edges_b = pa.edges, pb.edges
+    n_edges_a = len(pa.edges)
     mask_a, mask_b = pa.bond_mask, pb.bond_mask
     ends_a, ends_b = pa.ends, pb.ends
     closed_a, closed_b = pa.closed, pb.closed
@@ -386,7 +392,7 @@ def _mcsplit(
             ci = 0
             left, right, n_left, n_right = classes[0]
         else:
-            ci, size = 0, len(edges_a) + 1
+            ci, size = 0, n_edges_a + 1
             for i, (_, _, n_left, n_right) in enumerate(classes):
                 larger = n_left if n_left > n_right else n_right
                 if larger < size:
@@ -476,17 +482,14 @@ def _mcsplit(
                 child[ci] = rest, right, n_left - 1, n_right
                 yield child, count, bound
 
-    by_label: dict[tuple, list[int]] = {}
-    for i, (_, _, label) in enumerate(edges_a):
-        by_label.setdefault(label, [0, 0])[0] |= 1 << i
-    for j, (_, _, label) in enumerate(edges_b):
-        if label in by_label:
-            by_label[label][1] |= 1 << j
-    classes = [
-        (left, right, left.bit_count(), right.bit_count())
-        for left, right in by_label.values()
-        if right
-    ]
+    # One class per shared label, in A's first-bond order, which breaks
+    # branching ties.
+    labels_b = pb.by_label
+    classes = []
+    for label, left in pa.by_label.items():
+        right = labels_b.get(label)
+        if right:
+            classes.append((left, right, left.bit_count(), right.bit_count()))
     bound = sum(min(n_left, n_right) for _, _, n_left, n_right in classes)
     stack = []
     node = search(classes, 0, bound)

@@ -266,3 +266,26 @@ def mcsplit_splitting_every_partner(pa, pb, lower: int, upper: int, budget: int)
         else:
             stack.append(search(*child))
     return best, True, nodes
+
+
+def rank_order_mces_screen(candidates: list, k: int, search, floor) -> tuple[float, float, bool]:
+    """The top-k MCES scan in rank order, as ``evaluate.score_spectrum`` once ran it.
+
+    ``candidates`` holds one item per candidate, None where it is invalid;
+    ``search(item)`` returns its ``McesResult`` against the ground truth and
+    ``floor(item)`` its ``mces_floor``.  Rank 0 is always searched; past it,
+    a candidate is searched when its floor lies below the running minimum.
+    Returns (top-1, top-k, whether a search that ran was truncated).
+    """
+    top1 = topk = 1.0
+    truncated = False
+    for rank, item in enumerate(candidates[:k]):
+        if item is None:
+            continue
+        if rank == 0 or floor(item) < topk:
+            result = search(item)
+            truncated = truncated or not result.optimal
+            topk = min(topk, result.dissimilarity)
+            if rank == 0:
+                top1 = result.dissimilarity
+    return top1, topk, truncated

@@ -30,6 +30,7 @@ from ms2smiles.evaluate import (
 )
 from ms2smiles.protocol import ParsedResponse, parse_response
 from ms2smiles.similarity import mces, mces_floor, morgan_fingerprint
+from oracles import rank_order_mces_screen
 
 
 BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
@@ -200,6 +201,93 @@ def test_screening_matches_searching_every_candidate(corpus, monkeypatch):
         assert (got.mces_top1, got.mces_topk) == (top1, topk)
         assert truncated or not got.mces_truncated
     assert 0 < len(searched) < reference_searches
+
+
+def _small_spectra(seed: int, repeats: int) -> list[tuple[str, list[str]]]:
+    """(ground truth, 10 candidates) per spectrum, drawn as the benchmark's
+    score_small workload draws them from ``small_universe.tsv``: every
+    ground truth ``repeats`` times, candidates from the shared pool, one
+    invalid SMILES per list, a duplicate in 20% of lists and the ground
+    truth itself in 30%."""
+    with open(BENCH_DATA / "small_universe.tsv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh, delimiter="\t"))
+    truths = [r["smiles"] for r in rows if r["role"] == "ground_truth"]
+    pool = [r["smiles"] for r in rows if r["role"] == "pool"]
+    rng = random.Random(seed)
+    spectra = []
+    for i in range(len(truths) * repeats):
+        truth = truths[i % len(truths)]
+        candidates = rng.sample(pool, 10)
+        if rng.random() < 0.2:
+            candidates[rng.randrange(10)] = candidates[rng.randrange(10)]
+        candidates[rng.randrange(10)] = rng.choice(["C1CC", "CC(C", "c1cccc1"])
+        if rng.random() < 0.3:
+            candidates[rng.randrange(10)] = truth
+        spectra.append((truth, candidates))
+    return spectra
+
+
+def test_floor_order_scan_searches_less_than_the_rank_order_screen(monkeypatch):
+    # Each spectrum starts from an empty pair memo, and the reference
+    # searches each distinct candidate once too.
+    scan_nodes = []
+    search = evaluate_module.mces
+
+    def counted(*args, **kwargs):
+        result = search(*args, **kwargs)
+        scan_nodes.append(result.nodes)
+        return result
+
+    monkeypatch.setattr(evaluate_module, "mces", counted)
+    reference_searches = reference_nodes = 0
+    for i, (truth, candidates) in enumerate(_small_spectra(seed=41, repeats=2)):
+        gt = prepare(truth).mol
+        results = {}
+
+        def search_once(smiles):
+            if smiles not in results:
+                results[smiles] = mces(gt, prepare(smiles).mol)
+            return results[smiles]
+
+        valid = [smiles if prepare(smiles) is not None else None for smiles in candidates]
+        rank_order_mces_screen(valid, 10, search_once, lambda s: mces_floor(gt, prepare(s).mol))
+        reference_searches += len(results)
+        reference_nodes += sum(r.nodes for r in results.values())
+        every = [search_once(smiles).dissimilarity for smiles in valid if smiles is not None]
+
+        pair_mces.cache_clear()
+        got = score_spectrum(make_record(truth, rid=f"s{i}"), response(candidates), 10)
+        assert got.mces_top1 == (every[0] if valid[0] is not None else 1.0)
+        assert got.mces_topk == min(every, default=1.0)
+    # Floor order can search more on a single spectrum, so only the totals
+    # are compared.  Both are pinned: a changed search tree moves the nodes,
+    # a changed scan the searches.
+    assert (reference_searches, reference_nodes) == (273, 2959)
+    assert (len(scan_nodes), sum(scan_nodes)) == (189, 2066)
+    assert len(scan_nodes) < reference_searches and sum(scan_nodes) < reference_nodes
+
+
+def test_truncation_flags_only_searches_that_ran(monkeypatch):
+    # At a budget of 1 node the analog's search truncates.  The exact match
+    # has floor 0.0, so it is searched first and the analog never is.
+    searched = []
+    search = evaluate_module.mces
+
+    def counted(a, b, budget):
+        searched.append(canonical_smiles(b))
+        return search(a, b, budget=budget)
+
+    monkeypatch.setattr(evaluate_module, "mces", counted)
+    truth, analog = "CCOc1ccccc1C(=O)O", "CCOc1ccccc1C(=O)N"
+    record = make_record(truth)
+    pair_mces.cache_clear()
+    got = score_spectrum(record, response(["O=O", analog, truth]), mces_budget=1)
+    assert (got.mces_top1, got.mces_topk, got.mces_truncated) == (1.0, 0.0, False)
+    assert canonical_smiles(mol_from_smiles(analog)) not in searched
+
+    # Without the exact match the analog is searched and truncates.
+    got = score_spectrum(record, response(["O=O", analog]), mces_budget=1)
+    assert (got.mces_top1, got.mces_topk, got.mces_truncated) == (1.0, 1 - 1 / 12, True)
 
 
 def test_duplicates_do_not_distort():
