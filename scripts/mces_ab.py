@@ -16,11 +16,18 @@ change that claims the same tree must also show 0 node differences.
 Then the two versions take ``TURNS`` turns each, alternating which goes
 first, timing each heavy library slot (one whose search expands at least
 1000 nodes at the default budget) and the whole of ``pairs.tsv`` at budget
-4096 in CPU time, with freshly parsed molecules each time so every call
-builds its profiles as a first call would.
+4096 in CPU time, twice:
 
-Prints the median [lower quartile, upper quartile] CPU-ms per side and the
-old/new ratio of the medians, then one closing line saying whether every
+* cold: on freshly parsed molecules each time, so every call builds its
+  profiles as a first call would;
+* warm: on one molecule per SMILES whose profiles that side's ``_profile``
+  built before the clock started, so the time is the per-search cost that
+  ``evaluate`` pays once a molecule is memoized.  Each side has its own
+  molecule set, because both sides cache into ``Molecule._mces``.
+
+Prints per workload and mode the median [lower quartile, upper quartile]
+CPU-ms per side and the old/new ratio of the medians, then one closing
+line saying whether every
 set and budget had identical values and 0 node differences, that is,
 whether the two versions search the same tree.  Exits 1 if any value or
 ``optimal`` flag differs, whatever the node counts.  Standard library only.
@@ -74,8 +81,15 @@ def results(module, pairs, budget: int) -> list[tuple[int, bool, int]]:
     return out
 
 
-def cpu_ms(module, pairs, budget: int) -> float:
-    mols = [(mol_from_smiles(a), mol_from_smiles(b)) for a, b in pairs]
+def warm_pairs(module, pairs) -> list:
+    """One molecule per SMILES, with ``module``'s profile already built."""
+    mols = {smiles: mol_from_smiles(smiles) for pair in pairs for smiles in pair}
+    for mol in mols.values():
+        module._profile(mol)
+    return [(mols[a], mols[b]) for a, b in pairs]
+
+
+def cpu_ms(module, mols, budget: int) -> float:
     start = time.process_time()
     for a, b in mols:
         module.mces(a, b, budget)
@@ -117,18 +131,24 @@ def main(argv: list[str] | None = None) -> int:
     heavy = [slot for slot, nodes in enumerate(library_nodes) if nodes >= HEAVY_NODES]
     workloads = [(f"slot {slot}", [library[slot]], budget) for slot in heavy]
     workloads.append(("pairs.tsv", reference, PAIRS_BUDGET))
-    times = {(name, side): [] for name, _, _ in workloads for side in sides}
+    warm = {(name, side): warm_pairs(module, pairs) for name, pairs, _ in workloads for side, module in sides.items()}
+    modes = ("cold", "warm")
+    times = {(name, mode, side): [] for name, _, _ in workloads for mode in modes for side in sides}
     for turn in range(TURNS):
         order = ("old", "new") if turn % 2 == 0 else ("new", "old")
         for name, pairs, pair_budget in workloads:
             for side in order:
-                times[name, side].append(cpu_ms(sides[side], pairs, pair_budget))
+                fresh = [(mol_from_smiles(a), mol_from_smiles(b)) for a, b in pairs]
+                times[name, "cold", side].append(cpu_ms(sides[side], fresh, pair_budget))
+                times[name, "warm", side].append(cpu_ms(sides[side], warm[name, side], pair_budget))
 
-    print(f"CPU ms, median [quartiles] of {TURNS} alternating turns per side")
+    print(f"CPU ms, median [quartiles] of {TURNS} alternating turns per side "
+          "(cold: fresh molecules; warm: profiles built before the clock)")
     for name, _, _ in workloads:
-        old, new = times[name, "old"], times[name, "new"]
-        ratio = statistics.median(old) / statistics.median(new)
-        print(f"{name:>10}: old {summary(old)}  new {summary(new)}  old/new {ratio:.2f}x")
+        for mode in modes:
+            old, new = times[name, mode, "old"], times[name, mode, "new"]
+            ratio = statistics.median(old) / statistics.median(new)
+            print(f"{name + ' ' + mode:>15}: old {summary(old)}  new {summary(new)}  old/new {ratio:.2f}x")
     if same and not node_diffs:
         print("same tree: identical values and 0 node differences at every set and budget")
     else:

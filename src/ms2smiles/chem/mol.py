@@ -3,9 +3,10 @@
 A ``Molecule`` comes out of the SMILES reader in raw form (no hydrogen counts,
 possibly aromatic bond orders) and is finalized by ``perception.perceive``,
 after which it is treated as immutable and safe to share across threads.
-Derived values (adjacency lists, the canonical SMILES, the MCES inputs) are
-computed on first use and cached on the instance; recomputing them gives the
-same value.
+Derived values (adjacency lists, the canonical SMILES, the Morgan
+fingerprint, the MCES inputs) are computed on first use and cached on the
+instance; recomputing them gives the same value.  A molecule memoized by
+``dataset.prepare`` therefore carries them for every consumer.
 """
 
 from __future__ import annotations
@@ -76,6 +77,7 @@ class Molecule:
         default=None, init=False, repr=False, compare=False
     )
     _canonical: str | None = field(default=None, init=False, repr=False, compare=False)
+    _fingerprint: int | None = field(default=None, init=False, repr=False, compare=False)
     _mces: object | None = field(default=None, init=False, repr=False, compare=False)
 
     @property

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .chem import ChemError, mol_from_smiles
 from .dataset import SPLITS, DatasetError, load_dataset
-from .evaluate import aggregate, evaluate_records, usable_cpu_count, write_reports
+from .evaluate import aggregate, check_k, evaluate_records, usable_cpu_count, write_reports
 from .gateway import (
     HttpChatProvider,
     MissingApiKey,
@@ -42,8 +42,6 @@ class RunConfig:
     split: str = "test"
     k: int = 10
     mces_budget: int = DEFAULT_MCES_BUDGET
-    fp_radius: int = 2
-    fp_nbits: int = 2048
     provider: str = "http"
     workers: int = 0  # 0: one per usable CPU
     http: ProviderConfig = field(default_factory=ProviderConfig)
@@ -59,8 +57,6 @@ _SETTINGS = {
     "split": ("split", "fold to process: " + ", ".join(SPLITS)),
     "k": ("k", "top-k cutoff, at least 1"),
     "mces_budget": ("mces_budget", "count of search nodes per MCES pair, at least 1"),
-    "fp_radius": ("fp_radius", "fingerprint radius"),
-    "fp_nbits": ("fp_nbits", "fingerprint length"),
     "provider": ("provider", "'http' or 'mock:<dir>'"),
     "workers": ("workers", "evaluation worker processes (0: one per usable CPU)"),
     "model": ("http.model_name", "model name sent to the provider"),
@@ -121,8 +117,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         value = getattr(args, key, None)
         if value is not None:
             setattr(*_target(config, key), value)
-    if config.k < 1:
-        raise ValueError(f"k must be at least 1, got {config.k}")
+    check_k(config.k)
     check_budget(config.mces_budget)
     if config.workers < 0:
         raise ValueError(f"workers must be at least 0, got {config.workers}")
@@ -203,8 +198,6 @@ def cmd_evaluate(config: RunConfig, table: bool = False) -> int:
         transcripts,
         config.k,
         mces_budget=config.mces_budget,
-        fp_radius=config.fp_radius,
-        fp_nbits=config.fp_nbits,
         workers=config.workers or usable_cpu_count(),
     )
     report = aggregate(metrics, audits, k=config.k)

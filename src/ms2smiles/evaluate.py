@@ -35,12 +35,14 @@ Ground truths and candidates repeat across records and runs, so every SMILES
 goes through ``dataset.prepare``: a per-process LRU memo of ``MEMO_SIZE``
 entries that parses, perceives and measures each string it holds once (an
 invalid one is memoized as None).  ``load_dataset`` has already put the
-ground truths in it, and the last ``MEMO_SIZE`` unique ones stay.  Scoring, the CoT audit and the weight bin all read the shared
-``PreparedMol``; the top-k scan takes fingerprints from a second memo of the
-same size.  A third memo of that size holds the MCES result per (ground
-truth, candidate, budget) SMILES pair, so a candidate listed twice, or a
-pair that recurs across records, is searched once.  Pool workers each keep
-their own memos, which start as a copy of the parent's where workers fork.
+ground truths in it, and the last ``MEMO_SIZE`` unique ones stay.  Scoring,
+the CoT audit and the weight bin all read the shared ``PreparedMol``, and
+the fingerprint is cached on its molecule, so each is built once while the
+molecule stays in the memo.  A second memo of that size holds the MCES
+result per (ground truth, candidate, budget) SMILES pair, so a candidate
+listed twice, or a pair that recurs across records, is searched once.  Pool
+workers each keep their own memos, which start as a copy of the parent's
+where workers fork.
 Each pool worker is pinned to its own CPU of the parent's affinity mask,
 round-robin, because forked workers start on the parent's CPU and, where
 the kernel does not balance load, would share it for the whole pool.
@@ -63,7 +65,7 @@ from .chem import ChemError, canonical_smiles, mol_from_smiles, same_structure
 from .chem.formula import ElementCounts, canonical_formula, parse_formula
 from .dataset import MEMO_SIZE, WEIGHT_BIN_LABELS, PreparedMol, SpectrumRecord, prepare, weight_bin
 from .protocol import ParsedResponse, parse_response
-from .similarity import DEFAULT_MCES_BUDGET, Fingerprint, McesResult, check_budget, mces, mces_floor, morgan_fingerprint, tanimoto
+from .similarity import DEFAULT_MCES_BUDGET, McesResult, check_budget, mces, mces_floor, morgan_fingerprint, tanimoto
 
 
 class EmptyInput(ValueError):
@@ -104,12 +106,6 @@ class CotAudit:
 
 
 @lru_cache(maxsize=MEMO_SIZE)
-def fingerprint(smiles: str, fp_radius: int, fp_nbits: int) -> Fingerprint:
-    """Morgan fingerprint of a valid ``smiles``, built once per process and shape."""
-    return morgan_fingerprint(prepare(smiles).mol, radius=fp_radius, nbits=fp_nbits)
-
-
-@lru_cache(maxsize=MEMO_SIZE)
 def pair_mces(truth: str, candidate: str, budget: int) -> McesResult:
     """``mces`` of two valid SMILES, searched once per process, pair and budget."""
     return mces(prepare(truth).mol, prepare(candidate).mol, budget=budget)
@@ -122,7 +118,8 @@ def _prepare_truth(record: SpectrumRecord) -> PreparedMol:
     return gt
 
 
-def _check_k(k: int) -> None:
+def check_k(k: int) -> None:
+    """Raises ``ValueError`` unless the top-k cutoff ``k`` is at least 1."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
 
@@ -133,13 +130,11 @@ def score_spectrum(
     k: int = 10,
     *,
     mces_budget: int = DEFAULT_MCES_BUDGET,
-    fp_radius: int = 2,
-    fp_nbits: int = 2048,
 ) -> PerSpectrumMetrics:
-    _check_k(k)
+    check_k(k)
     check_budget(mces_budget)
     gt = _prepare_truth(record)
-    gt_fp = fingerprint(record.ground_truth, fp_radius, fp_nbits)
+    gt_fp = morgan_fingerprint(gt.mol)
 
     candidates = parsed.candidates
     prepared = [prepare(smiles) for smiles in candidates]
@@ -158,7 +153,7 @@ def score_spectrum(
         if cand is None:
             continue
         exact = same_structure(cand.mol, gt.mol, canonical_smiles)
-        similarity = tanimoto(gt_fp, fingerprint(smiles, fp_radius, fp_nbits))
+        similarity = tanimoto(gt_fp, morgan_fingerprint(cand.mol))
         if rank == 0:
             exact_top1 = exact
             mts_top1 = similarity
@@ -402,21 +397,15 @@ def evaluate_one(
     k: int = 10,
     *,
     mces_budget: int = DEFAULT_MCES_BUDGET,
-    fp_radius: int = 2,
-    fp_nbits: int = 2048,
 ) -> tuple[PerSpectrumMetrics, CotAudit]:
     parsed = parse_response(transcript)
-    metrics = score_spectrum(
-        record, parsed, k, mces_budget=mces_budget, fp_radius=fp_radius, fp_nbits=fp_nbits
-    )
+    metrics = score_spectrum(record, parsed, k, mces_budget=mces_budget)
     return metrics, audit_cot(parsed, record)
 
 
 def _evaluate_task(args) -> tuple[PerSpectrumMetrics, CotAudit]:
-    record, transcript, k, mces_budget, fp_radius, fp_nbits = args
-    return evaluate_one(
-        record, transcript, k, mces_budget=mces_budget, fp_radius=fp_radius, fp_nbits=fp_nbits
-    )
+    record, transcript, k, mces_budget = args
+    return evaluate_one(record, transcript, k, mces_budget=mces_budget)
 
 
 def evaluate_records(
@@ -425,17 +414,12 @@ def evaluate_records(
     k: int = 10,
     *,
     mces_budget: int = DEFAULT_MCES_BUDGET,
-    fp_radius: int = 2,
-    fp_nbits: int = 2048,
     workers: int = 1,
 ) -> tuple[list[PerSpectrumMetrics], list[CotAudit]]:
     """Score every record against its transcript (missing means empty)."""
-    _check_k(k)
+    check_k(k)
     check_budget(mces_budget)
-    tasks = [
-        (record, transcripts.get(record.id, ""), k, mces_budget, fp_radius, fp_nbits)
-        for record in records
-    ]
+    tasks = [(record, transcripts.get(record.id, ""), k, mces_budget) for record in records]
     workers = min(workers, len(tasks))  # fork starts every worker up front
     if workers <= 1:
         results = [_evaluate_task(t) for t in tasks]

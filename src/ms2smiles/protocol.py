@@ -12,43 +12,13 @@ from __future__ import annotations
 import hashlib
 import re
 from dataclasses import dataclass, field
+from functools import cache
 from importlib import resources
 
 from .chem import canonical_formula
 from .dataset import SpectrumRecord
 
 PLACEHOLDERS = ("mzs", "intensities", "formula", "instrument", "adduct", "collision_energy")
-
-# Non-substituted tokens that legitimately appear in the shipped template.
-PASSTHROUGH_TOKENS = frozenset(
-    {
-        "think",
-        "answer",
-        "DBE",
-        "base_peak_mz",
-        "base_peak_intensity",
-        "substructure_formula_from_base_peak",
-        "source_peak_mz",
-        "mass_A",
-        "molecular_ion_mz",
-        "fragment_A_mz",
-        "neutral_fragment_A_formula_or_structure",
-        "source_peak_B_mz",
-        "mass_B",
-        "fragment_B_mz",
-        "neutral_fragment_B_formula_or_structure",
-        "list_common_losses_and_implications",
-        "fragment_X_mz",
-        "parent_ion_mz_for_X",
-        "loss_or_rearrangement_for_X",
-        "subformula_X",
-        "fragment_Y_mz",
-        "subformula_A",
-        "smiles_1",
-        "smiles_2",
-        "smiles_10",
-    }
-)
 
 _TOKEN_RE = re.compile(r"<([A-Za-z_][A-Za-z0-9_]*)>")
 MAX_CANDIDATES = 32
@@ -86,6 +56,13 @@ def default_template() -> str:
     return resources.files("ms2smiles").joinpath("templates/cot_prompt.txt").read_text("utf-8")
 
 
+@cache
+def _passthrough_tokens() -> frozenset[str]:
+    """The shipped template's own tokens (its tags and worked-example fields),
+    which pass through unsubstituted; read once per process."""
+    return frozenset(_TOKEN_RE.findall(default_template())) - set(PLACEHOLDERS)
+
+
 def _fmt_value(value: float, decimals: int) -> str:
     """Fixed decimals, trailing zeros trimmed but one decimal kept."""
     text = f"{value:.{decimals}f}".rstrip("0")
@@ -101,7 +78,7 @@ def render_prompt(record: SpectrumRecord, template: str) -> PromptInstance:
     missing = [p for p in PLACEHOLDERS if p not in tokens]
     if missing:
         raise MissingPlaceholder(f"template lacks placeholders: {missing}")
-    unknown = tokens - set(PLACEHOLDERS) - PASSTHROUGH_TOKENS
+    unknown = tokens - set(PLACEHOLDERS) - _passthrough_tokens()
     if unknown:
         raise UnknownPlaceholder(f"template has unrecognized placeholders: {sorted(unknown)}")
 

@@ -16,13 +16,13 @@ from ms2smiles.chem import ChemError, canonical_formula, canonical_smiles, mol_f
 from ms2smiles.cli import main
 from ms2smiles.dataset import SpectrumRecord, load_dataset
 import ms2smiles.evaluate as evaluate_module
+import ms2smiles.similarity.fingerprints as fingerprints_module
 from ms2smiles.evaluate import (
     EmptyInput,
     aggregate,
     audit_cot,
     evaluate_one,
     evaluate_records,
-    fingerprint,
     pair_mces,
     prepare,
     score_spectrum,
@@ -440,15 +440,33 @@ MEMO_TRANSCRIPT = (
 def test_cold_and_warm_memo_score_alike():
     record = make_record("NC(Cc1ccc(O)cc1)C(=O)O")
     prepare.cache_clear()
-    fingerprint.cache_clear()
     cold = evaluate_one(record, MEMO_TRANSCRIPT)
-    assert prepare.cache_info().misses > 0 and fingerprint.cache_info().misses > 0
+    assert prepare.cache_info().misses > 0
     hits = prepare.cache_info().hits
     warm = evaluate_one(record, MEMO_TRANSCRIPT)
     assert prepare.cache_info().hits > hits
     assert warm == cold
     assert cold[0].exact_topk and cold[0].n_valid == 3
     assert cold[1].formula_claim_correct and cold[1].dbe_claim_correct
+
+
+def test_each_molecule_is_fingerprinted_once(monkeypatch):
+    built = []
+    build = fingerprints_module._build_fingerprint
+
+    def counted(mol):
+        built.append(mol)
+        return build(mol)
+
+    monkeypatch.setattr(fingerprints_module, "_build_fingerprint", counted)
+    record = make_record("NC(Cc1ccc(O)cc1)C(=O)O")
+    prepare.cache_clear()
+    for _ in range(2):
+        evaluate_one(record, MEMO_TRANSCRIPT)
+    spellings = [record.ground_truth, *parse_response(MEMO_TRANSCRIPT).candidates]
+    valid = {id(p.mol) for p in map(prepare, spellings) if p is not None}
+    assert len(valid) == 4  # C1CC is invalid
+    assert len(built) == len(valid) and {id(mol) for mol in built} == valid
 
 
 def test_pair_memo_searches_each_pair_once(monkeypatch):
@@ -577,14 +595,13 @@ def _fields(prepared):
 @pytest.mark.parametrize("smiles", ["NC(Cc1ccc(O)cc1)C(=O)O", "OC1=CC=CC=C1CCN", "[Na+].[Cl-]"])
 def test_memoized_molecule_matches_fresh_parse(smiles):
     prepare.cache_clear()
-    fingerprint.cache_clear()
     shared = prepare(smiles)
     before = _fields(shared)
     other = prepare("c1ccccc1CCN").mol
     fresh = mol_from_smiles(smiles)
     for _ in range(2):  # the second round reads the cached canonical SMILES
         assert canonical_smiles(shared.mol) == canonical_smiles(mol_from_smiles(smiles))
-        assert morgan_fingerprint(shared.mol) == morgan_fingerprint(fresh) == fingerprint(smiles, 2, 2048)
+        assert morgan_fingerprint(shared.mol) == morgan_fingerprint(fresh)
         assert mces(shared.mol, other) == mces(fresh, mol_from_smiles("c1ccccc1CCN"))
         assert mces(shared.mol, shared.mol) == mces(fresh, mol_from_smiles(smiles))
     assert prepare(smiles) is shared

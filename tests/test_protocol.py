@@ -56,6 +56,12 @@ def test_unknown_placeholder_rejected(records):
         render_prompt(records[0], template)
 
 
+def test_unknown_placeholder_names_only_the_unknown_token(records):
+    with pytest.raises(UnknownPlaceholder) as info:
+        render_prompt(records[0], default_template() + " <foo>")
+    assert str(info.value).endswith("['foo']")
+
+
 def test_rendering_differs_when_fields_differ(records):
     template = default_template()
     texts = {render_prompt(r, template).text for r in records}
