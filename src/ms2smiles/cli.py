@@ -166,11 +166,12 @@ def cmd_run(config: RunConfig) -> int:
         log.write("record_id\tstatus\tattempts\tcached\n")
         for outcome in outcomes:
             log.write(f"{outcome.record_id}\t{outcome.status}\t{outcome.attempts}\t{int(outcome.cached)}\n")
+            path = transcripts_dir / f"{outcome.record_id}.txt"
             if outcome.status == "ok":
                 ok += 1
-                (transcripts_dir / f"{outcome.record_id}.txt").write_text(
-                    outcome.transcript, encoding="utf-8"
-                )
+                path.write_text(outcome.transcript, encoding="utf-8")
+            else:  # scored as empty, not by an earlier run's transcript
+                path.unlink(missing_ok=True)
     print(f"{ok}/{len(outcomes)} transcripts in {transcripts_dir}")
     if ok == 0:
         print("no request succeeded; see batch_log.tsv", file=sys.stderr)

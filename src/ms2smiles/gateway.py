@@ -1,9 +1,12 @@
 """Provider-agnostic chat-completion client with caching and retry.
 
-One file per cache key under ``<run_dir>/cache``; writes are atomic
-(temp file + rename) so concurrent writers of the same key converge.  The
-API key is read from the environment at request time and never written to
-config, cache, or logs.
+One transcript file per cache key under ``<run_dir>/cache``, and nothing
+else: no metadata sidecar (attempts go to ``batch_log.tsv``, and the model
+is part of the key).  ``complete`` only reads the cache; ``run_batch`` writes
+each fetched transcript from the thread that called it, so request threads
+never wait on the disk.  Writes are atomic (temp file + rename) so
+concurrent writers of the same key converge.  The API key is read from the
+environment at request time and never written to config, cache, or logs.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import random
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
@@ -83,27 +86,26 @@ def cache_key(prompt: str, config: ProviderConfig) -> str:
 
 
 class TranscriptCache:
-    """Filesystem cache: ``<key>.txt`` transcript plus a ``.meta`` sidecar."""
+    """Filesystem cache: one ``<key>.txt`` transcript per digest.
+
+    Sidecar files that older versions wrote beside a transcript are never
+    read, so their caches resume as before.
+    """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def get(self, key: str) -> str | None:
-        path = self.directory / f"{key}.txt"
-        if not path.exists():
+        try:
+            return (self.directory / f"{key}.txt").read_text(encoding="utf-8")
+        except FileNotFoundError:
             return None
-        return path.read_text(encoding="utf-8")
 
-    def put(self, key: str, transcript: str, model: str, attempts: int) -> None:
-        self._atomic_write(self.directory / f"{key}.txt", transcript)
-        meta = json.dumps({"timestamp": time.time(), "model": model, "attempts": attempts})
-        self._atomic_write(self.directory / f"{key}.meta", meta + "\n")
-
-    @staticmethod
-    def _atomic_write(path: Path, content: str) -> None:
-        tmp = path.with_suffix(path.suffix + f".tmp{os.getpid()}.{threading.get_ident()}")
-        tmp.write_text(content, encoding="utf-8")
+    def put(self, key: str, transcript: str) -> None:
+        path = self.directory / f"{key}.txt"
+        tmp = path.with_suffix(f".txt.tmp{os.getpid()}.{threading.get_ident()}")
+        tmp.write_text(transcript, encoding="utf-8")
         os.replace(tmp, path)
 
 
@@ -166,10 +168,10 @@ class MockProvider:
         self.directory = Path(directory)
 
     def fetch(self, prompt: str, config: ProviderConfig, record_id: str) -> str:
-        path = self.directory / f"{record_id}.txt"
-        if not path.exists():
-            raise _Fatal(STATUS_TRANSPORT_ERROR, f"no mock transcript for {record_id}")
-        text = path.read_text(encoding="utf-8")
+        try:
+            text = (self.directory / f"{record_id}.txt").read_text(encoding="utf-8")
+        except FileNotFoundError:
+            raise _Fatal(STATUS_TRANSPORT_ERROR, f"no mock transcript for {record_id}") from None
         if not text:
             raise _Fatal(STATUS_HTTP_ERROR, f"empty mock transcript for {record_id}")
         return text
@@ -183,9 +185,11 @@ def complete(
     record_id: str = "",
     sleep: Callable[[float], None] = time.sleep,
 ) -> CompletionOutcome:
-    """Cache-first completion with exponential backoff on retryable failures."""
-    key = cache_key(prompt, config)
-    hit = cache.get(key)
+    """Cache-first completion with exponential backoff on retryable failures.
+
+    A fetched transcript is returned, not cached: ``run_batch`` stores it.
+    """
+    hit = cache.get(cache_key(prompt, config))
     if hit is not None:
         return CompletionOutcome(record_id=record_id, status=STATUS_OK, transcript=hit, attempts=0, cached=True)
 
@@ -204,7 +208,6 @@ def complete(
             continue
         except _Fatal as exc:
             return CompletionOutcome(record_id=record_id, status=exc.status, attempts=attempts)
-        cache.put(key, text, config.model_name, attempts)
         return CompletionOutcome(record_id=record_id, status=STATUS_OK, transcript=text, attempts=attempts)
     return CompletionOutcome(record_id=record_id, status=last_status, attempts=attempts)
 
@@ -221,25 +224,62 @@ def run_batch(
     """Complete every prompt, preserving input order.
 
     At most ``config.parallelism`` requests are in flight; cached records
-    cause no network traffic, so an interrupted batch resumes where it
-    stopped.
+    cause no network traffic.  The calling thread caches each fetched
+    transcript as its request completes, while the request threads go on to
+    their next prompts.  If a request raises, no request queued behind it
+    starts; if the batch is interrupted, the queued requests are cancelled.
+    Either way every transcript already fetched is cached before the
+    exception propagates, so the batch resumes where it stopped.
+    Parallelism 1 runs inline on the calling thread and starts no thread.
     """
     if config.parallelism < 1:
         raise ValueError("parallelism must be >= 1")
     emit = log or (lambda line: print(line, file=sys.stderr))
+    outcomes: list[CompletionOutcome | None] = [None] * len(instances)
     done = 0
-    lock = threading.Lock()
 
-    def one(instance: PromptInstance) -> CompletionOutcome:
+    def request(instance: PromptInstance) -> CompletionOutcome:
+        return complete(instance.text, config, cache, provider, record_id=instance.record_id, sleep=sleep)
+
+    def finish(index: int, outcome: CompletionOutcome) -> None:
         nonlocal done
-        outcome = complete(instance.text, config, cache, provider, record_id=instance.record_id, sleep=sleep)
-        with lock:
-            done += 1
-            if progress_every and done % progress_every == 0:
-                emit(f"completed {done}/{len(instances)}")
-        return outcome
+        if outcome.status == STATUS_OK and not outcome.cached:
+            cache.put(cache_key(instances[index].text, config), outcome.transcript)
+        outcomes[index] = outcome
+        done += 1
+        if progress_every and done % progress_every == 0:
+            emit(f"completed {done}/{len(instances)}")
 
     if config.parallelism == 1:
-        return [one(instance) for instance in instances]
+        for index, instance in enumerate(instances):
+            finish(index, request(instance))
+        return outcomes
+
+    lock = threading.Lock()
+    last = len(instances) - 1  # no request after this index starts
+
+    def guarded(index: int) -> CompletionOutcome | None:
+        nonlocal last
+        if index > last:  # queued behind a request that raised
+            return None
+        try:
+            return request(instances[index])
+        except BaseException:
+            with lock:  # before this worker takes the next queued request
+                last = min(last, index)
+            raise
+
     with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-        return list(pool.map(one, instances))
+        futures = {pool.submit(guarded, index): index for index in range(len(instances))}
+        try:
+            for future in as_completed(futures):
+                if (outcome := future.result()) is not None:  # None: did not start
+                    finish(futures[future], outcome)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)  # waits for the requests in flight
+            for future, index in futures.items():
+                fetched = not future.cancelled() and future.exception() is None
+                if fetched and outcomes[index] is None and future.result() is not None:
+                    finish(index, future.result())
+            raise
+    return outcomes

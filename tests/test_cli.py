@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -122,6 +123,43 @@ def test_run_with_some_failures_still_succeeds(tmp_path):
     args = ["--dataset", FIXTURE, "--run-dir", str(run_dir), "--split", "test"]
     assert main(["run", *args, "--provider", f"mock:{partial}"]) == 0
     assert sorted(p.name for p in (run_dir / "transcripts").glob("*.txt")) == ["amine-001.txt"]
+
+
+def test_rerun_removes_the_transcript_of_a_failed_record(tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    args = ["--dataset", FIXTURE, "--run-dir", str(run_dir), "--split", "test"]
+    _run_pipeline(run_dir)
+    partial = tmp_path / "partial"
+    partial.mkdir()
+    (partial / "amine-001.txt").write_text(
+        (Path(TRANSCRIPTS) / "amine-001.txt").read_text(encoding="utf-8"), encoding="utf-8"
+    )
+    capsys.readouterr()
+    assert main(["run", *args, "--model", "other-model", "--provider", f"mock:{partial}"]) == 0
+    assert "1/3 transcripts" in capsys.readouterr().out
+    assert sorted(p.name for p in (run_dir / "transcripts").glob("*.txt")) == ["amine-001.txt"]
+    assert main(["evaluate", *args, "--workers", "1"]) == 0
+    with open(run_dir / "reports" / "per_spectrum.csv", newline="", encoding="utf-8") as fh:
+        rows = {row["record_id"]: row for row in csv.DictReader(fh)}
+    for record_id in ("benzene-002", "ethanol-003"):  # failed requests score as empty
+        assert rows[record_id]["has_think"] == "0"
+        assert rows[record_id]["n_candidates"] == "0"
+    assert rows["amine-001"]["has_think"] == "1"
+
+
+def test_run_output_does_not_depend_on_parallelism(tmp_path):
+    runs = {}
+    for parallelism in ("1", "2"):
+        run_dir = tmp_path / f"p{parallelism}"
+        assert main(["run", "--dataset", FIXTURE, "--run-dir", str(run_dir), "--split", "test",
+                     "--provider", f"mock:{TRANSCRIPTS}", "--parallelism", parallelism]) == 0
+        runs[parallelism] = (
+            {p.name: p.read_bytes() for p in (run_dir / "transcripts").iterdir()},
+            (run_dir / "batch_log.tsv").read_bytes(),
+            sorted(p.name for p in (run_dir / "cache").iterdir()),
+        )
+    assert runs["1"] == runs["2"]
+    assert len(runs["1"][2]) == 3
 
 
 def test_evaluate_requires_transcripts(tmp_path):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -71,9 +72,15 @@ def test_cache_key_determinism(config):
     assert cache_key("prompt", warm) != cache_key("prompt", cold)
 
 
+def _batch(config, cache, provider, *prompts):
+    """``run_batch`` over ``prompts``, whose record ids are r0, r1, ..."""
+    instances = [PromptInstance(record_id=f"r{i}", text=p, template_version="v") for i, p in enumerate(prompts)]
+    return run_batch(instances, config, cache, provider, sleep=lambda s: None, log=lambda s: None)
+
+
 def test_success_persists_transcript(config, cache):
     provider, calls = make_provider([FakeResponse(200, _ok_body("the answer"))])
-    outcome = complete("p", config, cache, provider, record_id="r1", sleep=lambda s: None)
+    (outcome,) = _batch(config, cache, provider, "p")
     assert outcome.status == "ok"
     assert outcome.transcript == "the answer"
     assert outcome.attempts == 1
@@ -85,7 +92,7 @@ def test_success_persists_transcript(config, cache):
 
 def test_cache_hit_makes_no_network_calls(config, cache):
     provider, calls = make_provider([FakeResponse(200, _ok_body("cached text"))])
-    complete("p", config, cache, provider, sleep=lambda s: None)
+    _batch(config, cache, provider, "p")
     outcome = complete("p", config, cache, provider, sleep=lambda s: None)
     assert outcome.cached
     assert outcome.status == "ok"
@@ -149,7 +156,7 @@ def test_missing_api_key(cache, monkeypatch):
 
 def test_cached_entry_needs_no_api_key(cache, monkeypatch, config):
     provider, _ = make_provider([FakeResponse(200, _ok_body("kept"))])
-    complete("p", config, cache, provider, sleep=lambda s: None)
+    _batch(config, cache, provider, "p")
     monkeypatch.delenv("TEST_GW_KEY")
     outcome = complete("p", config, cache, HttpChatProvider(post=None), sleep=lambda s: None)
     assert outcome.cached and outcome.transcript == "kept"
@@ -170,7 +177,7 @@ def test_batch_preserves_order_and_skips_cached(config, cache):
             return responses[prompt]
 
     for i in (1, 4, 7):
-        cache.put(cache_key(f"prompt {i}", config), f"text {i}", config.model_name, 1)
+        cache.put(cache_key(f"prompt {i}", config), f"text {i}")
 
     outcomes = run_batch(instances, config, cache, Provider(), sleep=lambda s: None, log=lambda s: None)
     assert [o.record_id for o in outcomes] == [f"r{i}" for i in range(10)]
@@ -237,10 +244,109 @@ def test_batch_resumes_after_crash(config, cache):
     assert "r3" not in cached_ids
 
 
+def test_old_cache_with_sidecars_resumes_and_a_batch_writes_one_file_per_transcript(config, cache):
+    for i in (0, 2):  # the layout of older versions: transcript plus a metadata sidecar
+        key = cache_key(f"prompt {i}", config)
+        cache.put(key, f"text {i}")
+        (cache.directory / f"{key}.meta").write_text('{"model": "test-model", "attempts": 1}\n', encoding="utf-8")
+    old_files = set(cache.directory.iterdir())
+    network_calls = []
+
+    class Provider:
+        def fetch(self, prompt, cfg, record_id):
+            network_calls.append(record_id)
+            return f"text {record_id[1:]}"
+
+    config.parallelism = 2
+    outcomes = run_batch(_instances(5), config, cache, Provider(), sleep=lambda s: None, log=lambda s: None)
+    assert sorted(network_calls) == ["r1", "r3", "r4"]
+    assert [o.transcript for o in outcomes] == [f"text {i}" for i in range(5)]
+    assert [o.cached for o in outcomes] == [True, False, True, False, False]
+    new_files = sorted(p.name for p in set(cache.directory.iterdir()) - old_files)
+    assert new_files == sorted(f"{cache_key(f'prompt {i}', config)}.txt" for i in (1, 3, 4))
+
+
+class _Interrupt(BaseException):
+    """Stands in for KeyboardInterrupt, which ``except Exception`` does not catch."""
+
+
+def test_interrupt_mid_batch_keeps_fetched_transcripts_and_starts_no_queued_request(config, cache):
+    raised = threading.Event()
+    network_calls = []
+
+    class Provider:
+        def fetch(self, prompt, cfg, record_id):
+            network_calls.append(record_id)
+            if record_id == "r1":
+                raised.set()
+                raise _Interrupt
+            if record_id == "r0":  # still in flight when r1 raises; returns after
+                assert raised.wait(timeout=5)
+                time.sleep(0.2)
+            return f"text {record_id}"
+
+    config.parallelism = 2
+    instances = _instances(8)
+    with pytest.raises(_Interrupt):
+        run_batch(instances, config, cache, Provider(), sleep=lambda s: None, log=lambda s: None)
+    assert sorted(network_calls) == ["r0", "r1"]
+    assert cache.get(cache_key("prompt 0", config)) == "text r0"
+    assert [p.name for p in cache.directory.iterdir()] == [f"{cache_key('prompt 0', config)}.txt"]
+
+
+def test_crash_under_fast_thread_switching_caches_every_fetched_transcript(config, cache):
+    fetched = []
+
+    class Provider:
+        def fetch(self, prompt, cfg, record_id):
+            if record_id == "r40":
+                raise RuntimeError("crash")
+            fetched.append(record_id)
+            return f"text {record_id}"
+
+    config.parallelism = 8  # more threads than cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(RuntimeError):
+            run_batch(_instances(100), config, cache, Provider(), sleep=lambda s: None, log=lambda s: None)
+    finally:
+        sys.setswitchinterval(interval)
+    assert {f"r{i}" for i in range(40)} <= set(fetched)  # queued ahead of the crash: all ran
+    cached = sorted(p.name for p in cache.directory.iterdir())
+    assert cached == sorted(f"{cache_key(f'prompt {r[1:]}', config)}.txt" for r in fetched)
+
+
+def test_cache_writes_run_on_the_calling_thread(config, cache, monkeypatch):
+    writers = []
+    request_threads = set()
+    put = TranscriptCache.put
+
+    def recording_put(self, key, transcript):
+        writers.append(threading.get_ident())
+        put(self, key, transcript)
+
+    class Provider:
+        def fetch(self, prompt, cfg, record_id):
+            request_threads.add(threading.get_ident())
+            time.sleep(0.005)
+            return f"text {record_id}"
+
+    monkeypatch.setattr(TranscriptCache, "put", recording_put)
+    config.parallelism = 3
+    outcomes = run_batch(_instances(12), config, cache, Provider(), sleep=lambda s: None, log=lambda s: None)
+    assert all(o.status == "ok" for o in outcomes)
+    assert writers == [threading.get_ident()] * 12
+    assert threading.get_ident() not in request_threads
+    assert sorted(p.suffix for p in cache.directory.iterdir()) == [".txt"] * 12
+
+
 def test_api_key_never_written_to_disk(config, cache, tmp_path):
     provider, _ = make_provider([FakeResponse(200, _ok_body("clean"))])
-    complete("super secret prompt", config, cache, provider, sleep=lambda s: None)
-    for path in (tmp_path / "cache").rglob("*"):
+    _batch(config, cache, provider, "super secret prompt")
+    written = list((tmp_path / "cache").rglob("*"))
+    assert written  # the transcript was written, so the check below reads a file
+    for path in written:
         assert "sk-secret-123" not in path.read_text(encoding="utf-8")
 
 
@@ -253,6 +359,9 @@ def test_mock_provider(config, tmp_path, cache):
     assert ok.status == "ok" and ok.transcript == "mock transcript"
     missing = complete("p1", config, cache, provider, record_id="r-missing", sleep=lambda s: None)
     assert missing.status == "transport_error"
+    (mock_dir / "r-empty.txt").write_text("", encoding="utf-8")
+    empty = complete("p2", config, cache, provider, record_id="r-empty", sleep=lambda s: None)
+    assert empty.status == "http_error" and empty.attempts == 1
 
 
 def test_outcome_invariants(config, cache):
