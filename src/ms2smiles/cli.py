@@ -18,6 +18,8 @@ from .chem import ChemError, mol_from_smiles
 from .dataset import SPLITS, DatasetError, load_dataset
 from .evaluate import aggregate, check_k, evaluate_records, usable_cpu_count, write_reports
 from .gateway import (
+    STATUS_OK,
+    CompletionOutcome,
     HttpChatProvider,
     MissingApiKey,
     MockProvider,
@@ -147,6 +149,13 @@ def cmd_ingest(config: RunConfig) -> int:
 
 
 def cmd_run(config: RunConfig) -> int:
+    """Fetch a transcript per record into ``transcripts/``, each written as
+    its request completes, then ``batch_log.tsv`` in record order.
+
+    A run that raises leaves no ``batch_log.tsv``, and no transcript but
+    those of the records it delivered, so it never pairs its transcripts
+    with another run's.
+    """
     result = load_dataset(config.dataset_path, split=config.split)
     if not result.records:
         print(f"no records in split {config.split!r}", file=sys.stderr)
@@ -157,21 +166,34 @@ def cmd_run(config: RunConfig) -> int:
     run_dir = Path(config.run_dir)
     cache = TranscriptCache(run_dir / "cache")
     provider = _make_provider(config)
-    outcomes = run_batch(instances, config.http, cache, provider)
-
     transcripts_dir = run_dir / "transcripts"
     transcripts_dir.mkdir(parents=True, exist_ok=True)
+    batch_log = run_dir / "batch_log.tsv"
+    batch_log.unlink(missing_ok=True)  # written only once the batch is whole
+    delivered: set[str] = set()
+
+    def deliver(outcome: CompletionOutcome) -> None:
+        path = transcripts_dir / f"{outcome.record_id}.txt"
+        if outcome.status == STATUS_OK:
+            path.write_text(outcome.transcript, encoding="utf-8")
+        else:  # scored as empty, not by an earlier run's transcript
+            path.unlink(missing_ok=True)
+        delivered.add(outcome.record_id)
+
+    try:
+        outcomes = run_batch(instances, config.http, cache, provider, deliver=deliver)
+    except BaseException:  # leave no earlier run's transcript beside this run's
+        for instance in instances:
+            if instance.record_id not in delivered:
+                (transcripts_dir / f"{instance.record_id}.txt").unlink(missing_ok=True)
+        raise
+
     ok = 0
-    with open(run_dir / "batch_log.tsv", "w", encoding="utf-8") as log:
+    with open(batch_log, "w", encoding="utf-8") as log:
         log.write("record_id\tstatus\tattempts\tcached\n")
         for outcome in outcomes:
             log.write(f"{outcome.record_id}\t{outcome.status}\t{outcome.attempts}\t{int(outcome.cached)}\n")
-            path = transcripts_dir / f"{outcome.record_id}.txt"
-            if outcome.status == "ok":
-                ok += 1
-                path.write_text(outcome.transcript, encoding="utf-8")
-            else:  # scored as empty, not by an earlier run's transcript
-                path.unlink(missing_ok=True)
+            ok += outcome.status == STATUS_OK
     print(f"{ok}/{len(outcomes)} transcripts in {transcripts_dir}")
     if ok == 0:
         print("no request succeeded; see batch_log.tsv", file=sys.stderr)
@@ -189,11 +211,12 @@ def cmd_evaluate(config: RunConfig, table: bool = False) -> int:
     if not transcripts_dir.is_dir():
         print(f"missing transcripts directory {transcripts_dir}", file=sys.stderr)
         return EXIT_DATA
-    transcripts = {  # a record without a transcript file is scored as empty
-        record.id: path.read_text(encoding="utf-8")
-        for record in result.records
-        if (path := transcripts_dir / f"{record.id}.txt").exists()
-    }
+    transcripts = {}
+    for record in result.records:
+        try:
+            transcripts[record.id] = (transcripts_dir / f"{record.id}.txt").read_text(encoding="utf-8")
+        except FileNotFoundError:  # scored as empty
+            pass
     metrics, audits = evaluate_records(
         result.records,
         transcripts,

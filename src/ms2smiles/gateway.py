@@ -2,11 +2,16 @@
 
 One transcript file per cache key under ``<run_dir>/cache``, and nothing
 else: no metadata sidecar (attempts go to ``batch_log.tsv``, and the model
-is part of the key).  ``complete`` only reads the cache; ``run_batch`` writes
-each fetched transcript from the thread that called it, so request threads
-never wait on the disk.  Writes are atomic (temp file + rename) so
-concurrent writers of the same key converge.  The API key is read from the
-environment at request time and never written to config, cache, or logs.
+is part of the key).  The cache lists its directory once, when it is
+opened, and keeps the names in memory: what counts as cached is the files
+present then plus its own writes, so a transcript that another process
+caches mid-run is fetched again.  ``complete`` only reads the cache, and a
+miss costs no filesystem call; ``run_batch`` writes each fetched transcript,
+and hands each outcome to its ``deliver`` callback, from the thread that
+called it, so request threads never wait on the disk.  Writes are atomic
+(temp file + rename) so concurrent writers of the same key converge.  The
+API key is read from the environment at request time and never written to
+config, cache, or logs.
 """
 
 from __future__ import annotations
@@ -88,15 +93,23 @@ def cache_key(prompt: str, config: ProviderConfig) -> str:
 class TranscriptCache:
     """Filesystem cache: one ``<key>.txt`` transcript per digest.
 
-    Sidecar files that older versions wrote beside a transcript are never
-    read, so their caches resume as before.
+    The directory is listed once, at construction; ``put`` adds to that
+    index and ``get`` answers a key outside it without touching the disk.
+    So the cached keys are the files present when the cache was opened plus
+    its own writes; a file another process writes later is not seen, and a
+    file deleted since the scan reads as a miss.  Sidecar files that older
+    versions wrote beside a transcript are never read, so their caches
+    resume as before.
     """
 
     def __init__(self, directory: str | Path):
         self.directory = Path(directory)
         self.directory.mkdir(parents=True, exist_ok=True)
+        self._keys = {name[:-4] for name in os.listdir(self.directory) if name.endswith(".txt")}
 
     def get(self, key: str) -> str | None:
+        if key not in self._keys:
+            return None
         try:
             return (self.directory / f"{key}.txt").read_text(encoding="utf-8")
         except FileNotFoundError:
@@ -107,6 +120,7 @@ class TranscriptCache:
         tmp = path.with_suffix(f".txt.tmp{os.getpid()}.{threading.get_ident()}")
         tmp.write_text(transcript, encoding="utf-8")
         os.replace(tmp, path)
+        self._keys.add(key)
 
 
 class HttpChatProvider:
@@ -220,16 +234,19 @@ def run_batch(
     sleep: Callable[[float], None] = time.sleep,
     progress_every: int = 100,
     log: Callable[[str], None] | None = None,
+    deliver: Callable[[CompletionOutcome], None] | None = None,
 ) -> list[CompletionOutcome]:
     """Complete every prompt, preserving input order.
 
     At most ``config.parallelism`` requests are in flight; cached records
     cause no network traffic.  The calling thread caches each fetched
-    transcript as its request completes, while the request threads go on to
-    their next prompts.  If a request raises, no request queued behind it
-    starts; if the batch is interrupted, the queued requests are cancelled.
-    Either way every transcript already fetched is cached before the
-    exception propagates, so the batch resumes where it stopped.
+    transcript as its request completes, then passes the outcome, cached or
+    not, to ``deliver``, while the request threads go on to their next
+    prompts.  Outcomes are delivered once each, in completion order.  If a
+    request raises, no request queued behind it starts; if the batch is
+    interrupted, the queued requests are cancelled.  Either way every
+    transcript already fetched is cached and delivered before the exception
+    propagates, so the batch resumes where it stopped.
     Parallelism 1 runs inline on the calling thread and starts no thread.
     """
     if config.parallelism < 1:
@@ -245,7 +262,9 @@ def run_batch(
         nonlocal done
         if outcome.status == STATUS_OK and not outcome.cached:
             cache.put(cache_key(instances[index].text, config), outcome.transcript)
-        outcomes[index] = outcome
+        outcomes[index] = outcome  # first: if ``deliver`` raises, the cleanup below skips it
+        if deliver is not None:
+            deliver(outcome)
         done += 1
         if progress_every and done % progress_every == 0:
             emit(f"completed {done}/{len(instances)}")

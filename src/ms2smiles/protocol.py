@@ -73,7 +73,10 @@ def _fmt_list(values, decimals: int) -> str:
     return "[" + ", ".join(_fmt_value(v, decimals) for v in values) + "]"
 
 
-def render_prompt(record: SpectrumRecord, template: str) -> PromptInstance:
+@cache
+def _template_version(template: str) -> str:
+    """Check ``template``'s tokens and return its version digest; once per
+    template text (a rejected template is checked again on each call)."""
     tokens = set(_TOKEN_RE.findall(template))
     missing = [p for p in PLACEHOLDERS if p not in tokens]
     if missing:
@@ -81,7 +84,11 @@ def render_prompt(record: SpectrumRecord, template: str) -> PromptInstance:
     unknown = tokens - set(PLACEHOLDERS) - _passthrough_tokens()
     if unknown:
         raise UnknownPlaceholder(f"template has unrecognized placeholders: {sorted(unknown)}")
+    return hashlib.sha256(template.encode("utf-8")).hexdigest()[:12]
 
+
+def render_prompt(record: SpectrumRecord, template: str) -> PromptInstance:
+    version = _template_version(template)
     values = {
         "mzs": _fmt_list(record.mzs, 4),
         "intensities": _fmt_list(record.intensities, 3),
@@ -93,7 +100,6 @@ def render_prompt(record: SpectrumRecord, template: str) -> PromptInstance:
     text = template
     for name, value in values.items():
         text = text.replace(f"<{name}>", value)
-    version = hashlib.sha256(template.encode("utf-8")).hexdigest()[:12]
     return PromptInstance(record_id=record.id, text=text, template_version=version)
 
 

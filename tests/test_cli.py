@@ -5,12 +5,15 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from ms2smiles import cli
 from ms2smiles.cli import main
+from ms2smiles.gateway import MockProvider
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.tsv")
 TRANSCRIPTS = str(Path(__file__).parent / "data" / "transcripts")
@@ -160,6 +163,66 @@ def test_run_output_does_not_depend_on_parallelism(tmp_path):
         )
     assert runs["1"] == runs["2"]
     assert len(runs["1"][2]) == 3
+
+
+def test_run_writes_each_transcript_as_its_request_completes(tmp_path, monkeypatch):
+    run_dir = tmp_path / "run"
+    seen = {}  # record id -> the transcripts already written when its request starts
+    fetch = MockProvider.fetch
+
+    def probing(self, prompt, config, record_id):
+        seen[record_id] = sorted(p.name for p in (run_dir / "transcripts").iterdir())
+        return fetch(self, prompt, config, record_id)
+
+    monkeypatch.setattr(MockProvider, "fetch", probing)
+    assert main(["run", "--dataset", FIXTURE, "--run-dir", str(run_dir), "--split", "test",
+                 "--provider", f"mock:{TRANSCRIPTS}", "--parallelism", "1"]) == 0
+    assert seen == {
+        "amine-001": [],
+        "benzene-002": ["amine-001.txt"],
+        "ethanol-003": ["amine-001.txt", "benzene-002.txt"],
+    }
+
+
+class _Interrupt(BaseException):
+    """Stands in for KeyboardInterrupt, which ``except Exception`` does not catch."""
+
+
+@pytest.mark.parametrize("earlier_run", [False, True])
+def test_interrupted_run_leaves_the_delivered_transcripts_and_no_batch_log(tmp_path, monkeypatch, earlier_run):
+    run_dir = tmp_path / "run"
+    if earlier_run:  # all three transcripts and a batch log, under another model's cache keys
+        _run_pipeline(run_dir)
+    raised = threading.Event()
+    fetch = MockProvider.fetch
+
+    def interrupting(self, prompt, config, record_id):
+        if record_id == "benzene-002":
+            raised.set()
+            raise _Interrupt
+        if record_id == "amine-001":  # still in flight when benzene-002 raises
+            assert raised.wait(timeout=5)
+            time.sleep(0.2)
+        return fetch(self, prompt, config, record_id)
+
+    delivered = []
+    run_batch = cli.run_batch
+
+    def recording_run_batch(*args, deliver, **kwargs):
+        def record(outcome):
+            deliver(outcome)
+            delivered.append(outcome.record_id)
+
+        return run_batch(*args, deliver=record, **kwargs)
+
+    monkeypatch.setattr(MockProvider, "fetch", interrupting)
+    monkeypatch.setattr(cli, "run_batch", recording_run_batch)
+    with pytest.raises(_Interrupt):
+        main(["run", "--dataset", FIXTURE, "--run-dir", str(run_dir), "--split", "test", "--model", "other",
+              "--provider", f"mock:{TRANSCRIPTS}", "--parallelism", "2"])
+    assert delivered == ["amine-001"]
+    assert sorted(p.name for p in (run_dir / "transcripts").iterdir()) == ["amine-001.txt"]
+    assert not (run_dir / "batch_log.tsv").exists()
 
 
 def test_evaluate_requires_transcripts(tmp_path):

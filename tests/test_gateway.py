@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import builtins
+import io
+import os
 import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -339,6 +343,92 @@ def test_cache_writes_run_on_the_calling_thread(config, cache, monkeypatch):
     assert writers == [threading.get_ident()] * 12
     assert threading.get_ident() not in request_threads
     assert sorted(p.suffix for p in cache.directory.iterdir()) == [".txt"] * 12
+
+
+def test_a_cold_cache_batch_touches_no_cache_path_from_a_request_thread(config, cache, monkeypatch):
+    root = str(cache.directory)
+    touches = []  # (thread, call) of every open, stat, listing or read under the cache directory
+
+    def recording(name, fn):
+        def inner(path, *args, **kwargs):
+            if isinstance(path, (str, os.PathLike)) and str(os.fspath(path)).startswith(root):
+                touches.append((threading.get_ident(), name))
+            return fn(path, *args, **kwargs)
+
+        return inner
+
+    for module, name in ((os, "stat"), (os, "lstat"), (os, "open"), (os, "listdir"), (os, "scandir"),
+                         (io, "open"), (builtins, "open")):
+        monkeypatch.setattr(module, name, recording(f"{module.__name__}.{name}", getattr(module, name)))
+    for name in ("open", "stat", "read_text", "read_bytes"):
+        monkeypatch.setattr(Path, name, recording(f"Path.{name}", getattr(Path, name)))
+    request_threads = set()
+
+    class Provider:
+        def fetch(self, prompt, cfg, record_id):
+            request_threads.add(threading.get_ident())
+            time.sleep(0.002)
+            return f"text {record_id}"
+
+    config.parallelism = 3
+    outcomes = run_batch(_instances(12), config, cache, Provider(), sleep=lambda s: None, log=lambda s: None)
+    assert [o.cached for o in outcomes] == [False] * 12
+    assert request_threads and threading.get_ident() not in request_threads
+    assert [touch for touch in touches if touch[0] in request_threads] == []
+    assert {thread for thread, _ in touches} == {threading.get_ident()}  # the puts were seen
+
+
+def test_a_file_present_when_the_cache_opens_is_a_hit(config, tmp_path):
+    directory = tmp_path / "warm"
+    directory.mkdir()
+    (directory / f"{cache_key('before', config)}.txt").write_text("kept", encoding="utf-8")
+    cache = TranscriptCache(directory)
+    (directory / f"{cache_key('after', config)}.txt").write_text("not seen", encoding="utf-8")
+    provider, calls = make_provider([FakeResponse(200, _ok_body("fetched"))])
+    hit = complete("before", config, cache, provider, sleep=lambda s: None)
+    assert hit.cached and hit.transcript == "kept"
+    late = complete("after", config, cache, provider, sleep=lambda s: None)  # written by someone else
+    assert not late.cached and late.transcript == "fetched"
+    assert len(calls) == 1
+
+
+def test_a_repeated_prompt_hits_the_put_of_its_first_copy(config, cache):
+    config.parallelism = 1
+    provider, calls = make_provider([FakeResponse(200, _ok_body("once"))])
+    outcomes = _batch(config, cache, provider, "same", "same")
+    assert [(o.transcript, o.cached) for o in outcomes] == [("once", False), ("once", True)]
+    assert len(calls) == 1
+
+
+def test_a_file_deleted_after_the_scan_is_fetched_again(config, tmp_path):
+    key = cache_key("p", config)
+    (tmp_path / "cache").mkdir()
+    (tmp_path / "cache" / f"{key}.txt").write_text("old", encoding="utf-8")
+    cache = TranscriptCache(tmp_path / "cache")
+    (cache.directory / f"{key}.txt").unlink()
+    provider, calls = make_provider([FakeResponse(200, _ok_body("new"))])
+    [outcome] = _batch(config, cache, provider, "p")
+    assert not outcome.cached and outcome.transcript == "new"
+    assert len(calls) == 1
+    assert cache.get(key) == "new"
+
+
+def test_batch_delivers_every_outcome_on_the_calling_thread_after_its_put(config, cache, tmp_path):
+    replies = tmp_path / "replies"
+    replies.mkdir()
+    for i in (0, 1, 3, 5):  # r2 is cached; r4 has no reply and fails
+        (replies / f"r{i}.txt").write_text(f"text r{i}", encoding="utf-8")
+    cache.put(cache_key("prompt 2", config), "text r2")
+    delivered = []
+
+    def deliver(outcome):
+        key = cache_key(f"prompt {outcome.record_id[1:]}", config)
+        delivered.append((threading.get_ident(), outcome.record_id, cache.get(key) == outcome.transcript))
+
+    config.parallelism = 3
+    run_batch(_instances(6), config, cache, MockProvider(replies), sleep=lambda s: None, log=lambda s: None,
+              deliver=deliver)
+    assert sorted(delivered) == [(threading.get_ident(), f"r{i}", i != 4) for i in range(6)]
 
 
 def test_api_key_never_written_to_disk(config, cache, tmp_path):
