@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+from functools import partial
 from typing import Hashable, Sequence
 
 from .elements import AROMATIC_BRACKET, ORGANIC_SUBSET, implicit_hydrogens
@@ -246,6 +247,17 @@ def _component_string(mol: Molecule, start: int, ranks: Sequence[int]) -> str:
     return render(start)
 
 
+def _write_components(mol: Molecule, base_ranks: Sequence[int], ranks_from) -> str:
+    """Sorted, dot-joined component strings: each the smallest over its
+    lowest-``base_ranks`` starts, written under ``ranks_from(comp, start)``."""
+    parts = []
+    for comp in mol.components():
+        best_rank = min(base_ranks[i] for i in comp)
+        starts = [i for i in comp if base_ranks[i] == best_rank]
+        parts.append(min(_component_string(mol, s, ranks_from(comp, s)) for s in starts))
+    return ".".join(sorted(parts))
+
+
 def write_smiles(mol: Molecule, ranks: Sequence[int]) -> str:
     """Write a SMILES string following the atom priority in ``ranks``.
 
@@ -253,12 +265,7 @@ def write_smiles(mol: Molecule, ranks: Sequence[int]) -> str:
     traversals; the canonical writer adds individualization on top.
     """
     mol.require_perceived("SMILES writing")
-    parts = []
-    for comp in mol.components():
-        best_rank = min(ranks[i] for i in comp)
-        starts = [i for i in comp if ranks[i] == best_rank]
-        parts.append(min(_component_string(mol, s, ranks) for s in starts))
-    return ".".join(sorted(parts))
+    return _write_components(mol, ranks, lambda comp, start: ranks)
 
 
 def canonical_smiles(mol: Molecule) -> str:
@@ -278,17 +285,7 @@ def _canonical_string(mol: Molecule) -> str:
     seeds = [_atom_seed(mol, i) for i in range(mol.n_atoms)]
     adjacency = labeled_adjacency(mol)
     base_ranks, _ = refine_ranks(seeds, adjacency)
-    parts = []
-    for comp in mol.components():
-        best_rank = min(base_ranks[i] for i in comp)
-        candidates = [i for i in comp if base_ranks[i] == best_rank]
-        parts.append(
-            min(
-                _component_string(mol, start, _discrete_ranks(seeds, adjacency, comp, start))
-                for start in candidates
-            )
-        )
-    return ".".join(sorted(parts))
+    return _write_components(mol, base_ranks, partial(_discrete_ranks, seeds, adjacency))
 
 
 def _equality_label(mol: Molecule, i: int) -> tuple:

@@ -1,8 +1,9 @@
 """Molecular graph primitives.
 
 A ``Molecule`` comes out of the SMILES reader in raw form (no hydrogen counts,
-possibly aromatic bond orders) and is finalized by ``perception.perceive``,
-after which it is treated as immutable and safe to share across threads.
+possibly aromatic bond orders).  ``perception.perceive`` never mutates it: it
+builds one new molecule from it and finishes that one in place, after which
+it is treated as immutable and safe to share across threads.
 Derived values (adjacency lists, the canonical SMILES, the Morgan
 fingerprint, the MCES inputs) are computed on first use and cached on the
 instance; recomputing them gives the same value.  A molecule memoized by

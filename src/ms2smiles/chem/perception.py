@@ -16,6 +16,11 @@ Pipeline:
 Step 6 is what makes "OC1=CC=CC=C1R" and "Oc1ccccc1R" indistinguishable to
 canonicalization, fingerprints and MCES.  Steps 3 and 6 share one matcher,
 ``_place_double_bonds``; step 5 reuses the ring bonds found for step 2.
+
+``perceive`` builds one new ``Molecule`` after step 1 and finishes it in
+place; the molecule it is given is never mutated.  No step changes a bond's
+index or endpoints, so every step reads the adjacency built for the ring
+search.
 """
 
 from __future__ import annotations
@@ -37,30 +42,21 @@ def mol_from_smiles(text: str) -> Molecule:
 
 def perceive(mol: Molecule) -> Molecule:
     atoms, bonds, collapsed = _collapse_hydrogens(mol)
-    work = Molecule(atoms=atoms, bonds=bonds)
-    ring_bonds = ring_bond_indices(work)
-    ring_atoms = frozenset(i for bi in ring_bonds for i in (bonds[bi].a, bonds[bi].b))
+    out = Molecule(atoms=atoms, bonds=bonds)
+    out.ring_bonds = ring_bond_indices(out)
+    out.ring_atoms = frozenset(i for bi in out.ring_bonds for i in (bonds[bi].a, bonds[bi].b))
 
-    orders: list[BondOrder | None] = []
-    for bi, bond in enumerate(bonds):
-        if bond.order is None:
-            orders.append(BondOrder.AROMATIC if bi in ring_bonds else BondOrder.SINGLE)
-        else:
-            orders.append(bond.order)
+    orders = [
+        bond.order or (BondOrder.AROMATIC if bi in out.ring_bonds else BondOrder.SINGLE)
+        for bi, bond in enumerate(bonds)
+    ]
 
-    adj = work.adjacency()
+    adj = out.adjacency()
     _check_aromatic_flags(atoms, adj, orders)
     _kekulize(atoms, bonds, adj, orders, collapsed)
-    hydrogens = _fill_hydrogens(atoms, adj, orders, collapsed)
-
-    kekulized = Molecule(
-        atoms=atoms,
-        bonds=[Bond(b.a, b.b, orders[bi]) for bi, b in enumerate(bonds)],
-        hydrogens=hydrogens,
-        ring_bonds=ring_bonds,
-        ring_atoms=ring_atoms,
-    )
-    arom_atoms, arom_bonds = _perceive_aromatic_rings(kekulized)
+    out.hydrogens = _fill_hydrogens(atoms, adj, orders, collapsed)
+    out.bonds = [Bond(b.a, b.b, orders[bi]) for bi, b in enumerate(bonds)]
+    arom_atoms, arom_bonds = _perceive_aromatic_rings(out)
 
     for i, atom in enumerate(atoms):
         if atom.aromatic and i not in arom_atoms:
@@ -68,17 +64,10 @@ def perceive(mol: Molecule) -> Molecule:
                 f"atom {i} ({atom.element}) is written aromatic but no aromatic ring contains it"
             )
 
-    final_orders = _canonical_rekekulize(kekulized, arom_atoms, arom_bonds)
-    return Molecule(
-        atoms=atoms,
-        bonds=[Bond(b.a, b.b, final_orders[bi]) for bi, b in enumerate(bonds)],
-        hydrogens=hydrogens,
-        ring_bonds=ring_bonds,
-        ring_atoms=ring_atoms,
-        aromatic_atoms=arom_atoms,
-        aromatic_bonds=arom_bonds,
-        perceived=True,
-    )
+    _canonical_rekekulize(out, arom_atoms, arom_bonds)
+    out.aromatic_atoms, out.aromatic_bonds = arom_atoms, arom_bonds
+    out.perceived = True
+    return out
 
 
 def _collapse_hydrogens(mol: Molecule) -> tuple[list[Atom], list[Bond], list[int]]:
@@ -305,13 +294,12 @@ def _perceive_aromatic_rings(mol: Molecule) -> tuple[frozenset[int], frozenset[i
 
 def _canonical_rekekulize(
     mol: Molecule, arom_atoms: frozenset[int], arom_bonds: frozenset[int]
-) -> list[BondOrder]:
-    """Redistribute double bonds inside perceived aromatic rings so the
-    pattern depends only on the molecule, not on the input traversal."""
-    orders = [bond.order for bond in mol.bonds]
+) -> None:
+    """Redistribute double bonds inside perceived aromatic rings, in place,
+    so the pattern depends only on the molecule, not on the input traversal."""
     if not arom_bonds:
-        return orders
-
+        return
+    orders = [bond.order for bond in mol.bonds]
     adj = mol.adjacency()
     needy = {
         i
@@ -330,4 +318,4 @@ def _canonical_rekekulize(
     if not _place_double_bonds(mol.bonds, arom_bonds, needy, seeds, label_adj, orders):
         # the pre-normalization pattern is a witness
         raise KekulizationFailure("internal: aromatic ring lost its kekule pattern")
-    return orders
+    mol.bonds = [Bond(b.a, b.b, orders[bi]) for bi, b in enumerate(mol.bonds)]

@@ -123,6 +123,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     check_budget(config.mces_budget)
     if config.workers < 0:
         raise ValueError(f"workers must be at least 0, got {config.workers}")
+    if config.http.parallelism < 1:
+        raise ValueError(f"parallelism must be at least 1, got {config.http.parallelism}")
+    if config.http.max_retries < 0:
+        raise ValueError(f"max_retries must be at least 0, got {config.http.max_retries}")
     if config.split not in SPLITS:
         raise ValueError(f"split must be one of {', '.join(SPLITS)}, got {config.split!r}")
     return config
@@ -152,9 +156,10 @@ def cmd_run(config: RunConfig) -> int:
     """Fetch a transcript per record into ``transcripts/``, each written as
     its request completes, then ``batch_log.tsv`` in record order.
 
-    A run that raises leaves no ``batch_log.tsv``, and no transcript but
-    those of the records it delivered, so it never pairs its transcripts
-    with another run's.
+    ``batch_log.tsv`` is removed before the batch and written only once it is
+    whole, so a run that raises leaves none, and ``evaluate`` refuses its
+    directory.  A failed record's transcript is removed, so a finished rerun
+    scores it as empty, not by an earlier run's transcript.
     """
     result = load_dataset(config.dataset_path, split=config.split)
     if not result.records:
@@ -164,13 +169,12 @@ def cmd_run(config: RunConfig) -> int:
     instances = [render_prompt(record, template) for record in result.records]
 
     run_dir = Path(config.run_dir)
-    cache = TranscriptCache(run_dir / "cache")
     provider = _make_provider(config)
+    cache = TranscriptCache(run_dir / "cache")
     transcripts_dir = run_dir / "transcripts"
     transcripts_dir.mkdir(parents=True, exist_ok=True)
     batch_log = run_dir / "batch_log.tsv"
     batch_log.unlink(missing_ok=True)  # written only once the batch is whole
-    delivered: set[str] = set()
 
     def deliver(outcome: CompletionOutcome) -> None:
         path = transcripts_dir / f"{outcome.record_id}.txt"
@@ -178,15 +182,8 @@ def cmd_run(config: RunConfig) -> int:
             path.write_text(outcome.transcript, encoding="utf-8")
         else:  # scored as empty, not by an earlier run's transcript
             path.unlink(missing_ok=True)
-        delivered.add(outcome.record_id)
 
-    try:
-        outcomes = run_batch(instances, config.http, cache, provider, deliver=deliver)
-    except BaseException:  # leave no earlier run's transcript beside this run's
-        for instance in instances:
-            if instance.record_id not in delivered:
-                (transcripts_dir / f"{instance.record_id}.txt").unlink(missing_ok=True)
-        raise
+    outcomes = run_batch(instances, config.http, cache, provider, deliver=deliver)
 
     ok = 0
     with open(batch_log, "w", encoding="utf-8") as log:
@@ -202,15 +199,18 @@ def cmd_run(config: RunConfig) -> int:
 
 
 def cmd_evaluate(config: RunConfig, table: bool = False) -> int:
-    """Score the run's transcripts; ``table`` prints the aggregate table."""
+    """Score the transcripts of a finished run; ``table`` prints the
+    aggregate table.  A run directory without ``batch_log.tsv`` (never run,
+    or interrupted) is refused."""
     result = load_dataset(config.dataset_path, split=config.split)
     if not result.records:
         print(f"no records in split {config.split!r}", file=sys.stderr)
         return EXIT_DATA
-    transcripts_dir = Path(config.run_dir) / "transcripts"
-    if not transcripts_dir.is_dir():
-        print(f"missing transcripts directory {transcripts_dir}", file=sys.stderr)
+    batch_log = Path(config.run_dir) / "batch_log.tsv"
+    if not batch_log.is_file():
+        print(f"missing {batch_log}: no finished run to score", file=sys.stderr)
         return EXIT_DATA
+    transcripts_dir = Path(config.run_dir) / "transcripts"
     transcripts = {}
     for record in result.records:
         try:

@@ -179,9 +179,10 @@ def _build_record(label: str, fields: dict, skipped: list) -> SpectrumRecord | N
     def skip(reason: str) -> None:
         skipped.append((label, reason))
 
-    # The id names the record's transcript file, so it must be one plain name.
+    # The id names the record's transcript file, so it must be one plain name,
+    # and it is a batch_log.tsv field, so it holds no control character.
     record_id = str(fields.get("id", label))
-    if record_id in ("", ".", "..") or "/" in record_id or "\\" in record_id:
+    if record_id in ("", ".", "..") or any(c in "/\\\x7f" or c < " " for c in record_id):
         skip("BadId")
         return None
 
@@ -277,12 +278,17 @@ def _iter_tsv(path: Path):
 
 
 def _iter_jsonl(path: Path):
+    """Each non-blank line decoded, or None where it is not a JSON object."""
     with open(path, encoding="utf-8") as fh:
         for i, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            yield f"line {i}", line
+            try:
+                raw = json.loads(line)
+            except json.JSONDecodeError:
+                raw = None
+            yield f"line {i}", raw if isinstance(raw, dict) else None
 
 
 def load_dataset(path: str, split: str | None = None) -> LoadResult:
@@ -304,18 +310,11 @@ def load_dataset(path: str, split: str | None = None) -> LoadResult:
         raise FileUnreadable(f"cannot read {path}: {exc}") from exc
 
     ids: set[str] = set()
-    for label, payload in rows:
+    for label, raw in rows:
         result.n_rows += 1
-        if jsonl:
-            try:
-                raw = json.loads(payload)
-            except json.JSONDecodeError:
-                raw = None
-            if not isinstance(raw, dict):
-                result.skipped.append((label, "BadJson"))
-                continue
-        else:
-            raw = payload
+        if raw is None:
+            result.skipped.append((label, "BadJson"))
+            continue
         record = _build_record(label, _canonical_fields(raw), result.skipped)
         if record is None:
             continue

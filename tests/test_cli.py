@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -191,8 +192,14 @@ class _Interrupt(BaseException):
 @pytest.mark.parametrize("earlier_run", [False, True])
 def test_interrupted_run_leaves_the_delivered_transcripts_and_no_batch_log(tmp_path, monkeypatch, earlier_run):
     run_dir = tmp_path / "run"
-    if earlier_run:  # all three transcripts and a batch log, under another model's cache keys
+    if earlier_run:  # all three transcripts, a batch log and reports, under another model's cache keys
         _run_pipeline(run_dir)
+    reports = run_dir / "reports"
+
+    def report_bytes():
+        return {p.name: p.read_bytes() for p in reports.iterdir()} if reports.exists() else None
+
+    before = report_bytes()
     raised = threading.Event()
     fetch = MockProvider.fetch
 
@@ -221,8 +228,31 @@ def test_interrupted_run_leaves_the_delivered_transcripts_and_no_batch_log(tmp_p
         main(["run", "--dataset", FIXTURE, "--run-dir", str(run_dir), "--split", "test", "--model", "other",
               "--provider", f"mock:{TRANSCRIPTS}", "--parallelism", "2"])
     assert delivered == ["amine-001"]
-    assert sorted(p.name for p in (run_dir / "transcripts").iterdir()) == ["amine-001.txt"]
     assert not (run_dir / "batch_log.tsv").exists()
+    # so its transcripts, beside any an earlier run left, are never scored
+    assert main(["evaluate", "--dataset", FIXTURE, "--run-dir", str(run_dir), "--split", "test",
+                 "--workers", "1"]) == 1
+    assert report_bytes() == before
+
+
+def test_the_benchmark_run_directory_sequence_leaves_a_scorable_run(tmp_path):
+    """The steps of ``bench/iteration.py`` on the fixture: a pre-warm ``run``
+    of some records, the removal of its transcripts and batch log, then
+    ``run`` and ``evaluate`` over the whole split."""
+    lines = Path(FIXTURE).read_text(encoding="utf-8").splitlines(keepends=True)
+    prewarm = tmp_path / "prewarm.tsv"
+    prewarm.write_text("".join(lines[:2]), encoding="utf-8")  # header and amine-001
+    run_dir = tmp_path / "run"
+    args = ["--run-dir", str(run_dir), "--split", "test"]
+    mock = ["--provider", f"mock:{TRANSCRIPTS}"]
+    assert main(["run", "--dataset", str(prewarm), *args, *mock]) == 0
+    shutil.rmtree(run_dir / "transcripts")
+    (run_dir / "batch_log.tsv").unlink()
+    assert main(["run", "--dataset", FIXTURE, *args, *mock, "--parallelism", "2"]) == 0
+    assert main(["evaluate", "--dataset", FIXTURE, *args, "--workers", "1"]) == 0
+    with open(run_dir / "batch_log.tsv", newline="", encoding="utf-8") as fh:
+        cached = {row["record_id"]: row["cached"] for row in csv.DictReader(fh, delimiter="\t")}
+    assert cached == {"amine-001": "1", "benzene-002": "0", "ethanol-003": "0"}
 
 
 def test_evaluate_requires_transcripts(tmp_path):
@@ -234,6 +264,11 @@ def test_evaluate_requires_transcripts(tmp_path):
 def test_evaluate_treats_missing_transcript_as_empty(tmp_path):
     run_dir = tmp_path / "run"
     (run_dir / "transcripts").mkdir(parents=True)
+    (run_dir / "batch_log.tsv").write_text(  # as a finished run whose requests all failed leaves it
+        "record_id\tstatus\tattempts\tcached\n"
+        + "".join(f"{r}\thttp_error\t1\t0\n" for r in ("amine-001", "benzene-002", "ethanol-003")),
+        encoding="utf-8",
+    )
     assert main(["evaluate", "--dataset", FIXTURE, "--run-dir", str(run_dir),
                  "--split", "test", "--workers", "1"]) == 0
     data = json.loads((run_dir / "reports" / "aggregate.json").read_text("utf-8"))
@@ -326,8 +361,10 @@ def test_missing_api_key_is_provider_error(tmp_path, monkeypatch):
     assert code == 3
 
 
-def test_unknown_provider_is_usage_error():
-    assert main(["run", "--dataset", FIXTURE, "--provider", "carrier-pigeon"]) == 2
+def test_unknown_provider_is_usage_error(tmp_path):
+    run_dir = tmp_path / "run"
+    assert main(["run", "--dataset", FIXTURE, "--run-dir", str(run_dir), "--provider", "carrier-pigeon"]) == 2
+    assert not run_dir.exists()
 
 
 def test_missing_dataset_is_usage_error():
@@ -401,6 +438,27 @@ def test_negative_workers_is_usage_error(tmp_path, capsys, workers):
     config = tmp_path / "bad.conf"
     config.write_text(f"dataset = {FIXTURE}\nworkers = {workers}\n", encoding="utf-8")
     assert main(["evaluate", "--config", str(config), "--run-dir", str(tmp_path)]) == 2
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [("parallelism", "0", "parallelism must be at least 1"), ("max_retries", "-1", "max_retries must be at least 0")],
+)
+def test_bad_request_settings_are_usage_errors_that_leave_the_run_directory_alone(tmp_path, capsys, key, value, message):
+    run_dir = tmp_path / "run"
+    _run_pipeline(run_dir)
+
+    def contents():
+        return {p: p.read_bytes() if p.is_file() else None for p in run_dir.rglob("*")}
+
+    before = contents()
+    config = tmp_path / "bad.conf"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    args = ["--dataset", FIXTURE, "--run-dir", str(run_dir), "--split", "test", "--provider", f"mock:{TRANSCRIPTS}"]
+    for extra in (["--" + key.replace("_", "-"), value], ["--config", str(config)]):
+        assert main(["run", *args, *extra]) == 2, extra
+        assert message in capsys.readouterr().err, extra
+    assert contents() == before
 
 
 def test_default_workers_follow_the_usable_cpus_not_parallelism(tmp_path, monkeypatch):

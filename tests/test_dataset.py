@@ -94,14 +94,14 @@ def test_non_finite_numbers_are_skipped(tmp_path, row, reason):
 
 
 def test_unsafe_and_repeated_ids_are_skipped(tmp_path):
-    ids = ["ok", "../evil", "a/b", "a\\b", ".", "..", "", "ok", "ok2"]
+    ids = ["ok", "../evil", "a/b", "a\\b", ".", "..", "", "a\x00b", "c\x01d", "ok", "ok2"]
     rows = [f"{i}\t10.0\t1.0\tCCO\tC2H6O\t[M+H]+\tQTOF\t20\ttest" for i in ids]
     result = load_dataset(_write_tsv(tmp_path / "ids.tsv", rows))
     assert [r.id for r in result.records] == ["ok", "ok2"]
-    assert [reason for _, reason in result.skipped] == ["BadId"] * 6 + ["DuplicateId"]
-    assert result.skipped[-1][0] == "line 9"
+    assert [reason for _, reason in result.skipped] == ["BadId"] * 8 + ["DuplicateId"]
+    assert result.skipped[-1][0] == "line 11"
     text = result.report_text()
-    assert "BadId: 6" in text and "DuplicateId: 1" in text
+    assert "BadId: 8" in text and "DuplicateId: 1" in text
 
 
 def test_header_aliases(tmp_path):
@@ -124,12 +124,26 @@ def test_jsonl_loading(tmp_path):
         {"id": "j2", "mzs": "10.0 20.0", "intensities": "2 4", "smiles": "CCC",
          "precursor_formula": "C3H8", "fold": "test", "collision_energy": 35.0},
         "not json at all{",
+        {"id": "j\t3", "mzs": [10.0], "intensities": [1.0], "smiles": "CCO",
+         "precursor_formula": "C2H6O", "fold": "test"},
+        # JSON, but not an object
+        "[1, 2]",
+        '"x"',
+        "3",
+        "null",
     ]
     path.write_text("\n".join(json.dumps(r) if isinstance(r, dict) else r for r in rows), encoding="utf-8")
     result = load_dataset(str(path))
     assert [r.id for r in result.records] == ["j1", "j2"]
     assert result.records[1].intensities == (0.5, 1.0)
-    assert result.skipped == [("line 3", "BadJson")]
+    assert result.skipped == [
+        ("line 3", "BadJson"),
+        ("line 4", "BadId"),  # a tab would split its batch_log.tsv row
+        ("line 5", "BadJson"),
+        ("line 6", "BadJson"),
+        ("line 7", "BadJson"),
+        ("line 8", "BadJson"),
+    ]
 
 
 def test_jsonl_numbers_of_the_wrong_shape_are_skipped(tmp_path):

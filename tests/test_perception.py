@@ -124,3 +124,25 @@ def test_each_molecule_searches_its_ring_bonds_once(monkeypatch):
         calls.clear()
         mol = mol_from_smiles(smiles)
         assert mol.ring_bonds and len(calls) == 1, smiles
+
+
+def test_perceive_builds_one_molecule_and_leaves_its_input_alone(monkeypatch):
+    built = []
+    construct = perception_module.Molecule
+
+    def counted(*args, **kwargs):
+        built.append(construct(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(perception_module, "Molecule", counted)
+    for smiles in ("c1ccccc1O", "[H]OC([H])([H])C", "c1ccc2[nH]ccc2c1", "CCO.c1ccncc1"):
+        raw = parse_smiles(smiles)
+
+        def fields():
+            return (list(raw.atoms), list(raw.bonds), raw.hydrogens, raw.ring_bonds, raw.aromatic_bonds, raw.perceived)
+
+        before = fields()
+        built.clear()
+        mol = perceive(raw)
+        assert built == [mol], smiles
+        assert fields() == before, smiles
