@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .chem import ChemError, mol_from_smiles
 from .dataset import SPLITS, DatasetError, load_dataset
-from .evaluate import aggregate, check_k, evaluate_records, usable_cpu_count, write_reports
+from .evaluate import aggregate, check_k, evaluate_records, table_rows, usable_cpu_count, write_reports
 from .gateway import (
     STATUS_OK,
     CompletionOutcome,
@@ -27,7 +27,7 @@ from .gateway import (
     TranscriptCache,
     run_batch,
 )
-from .protocol import default_template, render_prompt
+from .protocol import MAX_CANDIDATES, default_template, render_prompt
 from .similarity import DEFAULT_MCES_BUDGET, check_budget, mces
 
 EXIT_OK = 0
@@ -57,7 +57,7 @@ _SETTINGS = {
     "template": ("template_path", "prompt template path ('': the bundled one)"),
     "run_dir": ("run_dir", "run directory for cache/transcripts/reports"),
     "split": ("split", "fold to process: " + ", ".join(SPLITS)),
-    "k": ("k", "top-k cutoff, at least 1"),
+    "k": ("k", f"top-k cutoff, 1 to {MAX_CANDIDATES}"),
     "mces_budget": ("mces_budget", "count of search nodes per MCES pair, at least 1"),
     "provider": ("provider", "'http' or 'mock:<dir>'"),
     "workers": ("workers", "evaluation worker processes (0: one per usable CPU)"),
@@ -156,10 +156,13 @@ def cmd_run(config: RunConfig) -> int:
     """Fetch a transcript per record into ``transcripts/``, each written as
     its request completes, then ``batch_log.tsv`` in record order.
 
-    ``batch_log.tsv`` is removed before the batch and written only once it is
-    whole, so a run that raises leaves none, and ``evaluate`` refuses its
-    directory.  A failed record's transcript is removed, so a finished rerun
-    scores it as empty, not by an earlier run's transcript.
+    An earlier run's ``batch_log.tsv`` is removed when the batch delivers its
+    first outcome, and the new one written only once the batch is whole.  So
+    a run that raises after its first outcome leaves none, and ``evaluate``
+    refuses its directory, while one that raises before it (a provider that
+    cannot run) leaves the earlier run as it was, still scorable.  A failed
+    record's transcript is removed, so a finished rerun scores it as empty,
+    not by an earlier run's transcript.
     """
     result = load_dataset(config.dataset_path, split=config.split)
     if not result.records:
@@ -174,9 +177,13 @@ def cmd_run(config: RunConfig) -> int:
     transcripts_dir = run_dir / "transcripts"
     transcripts_dir.mkdir(parents=True, exist_ok=True)
     batch_log = run_dir / "batch_log.tsv"
-    batch_log.unlink(missing_ok=True)  # written only once the batch is whole
+    stale_log = True  # the earlier run's, until the first outcome
 
     def deliver(outcome: CompletionOutcome) -> None:
+        nonlocal stale_log
+        if stale_log:  # written again only once the batch is whole
+            batch_log.unlink(missing_ok=True)
+            stale_log = False
         path = transcripts_dir / f"{outcome.record_id}.txt"
         if outcome.status == STATUS_OK:
             path.write_text(outcome.transcript, encoding="utf-8")
@@ -227,7 +234,7 @@ def cmd_evaluate(config: RunConfig, table: bool = False) -> int:
     report = aggregate(metrics, audits, k=config.k)
     write_reports(Path(config.run_dir) / "reports", metrics, audits, report)
     if table:
-        rows = report.table_rows()
+        rows = table_rows(report)
         width = max(len(label) for label, _ in rows)
         for label, value in rows:
             print(f"{label:<{width}}  {value}")

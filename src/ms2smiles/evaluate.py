@@ -29,7 +29,8 @@ top-k values are therefore those of searching every candidate.  A candidate
 is searched only when its floor lies below the minimum of rank 0 and every
 lower-floor candidate, and ``mces_truncated`` flags a truncated search
 among those that ran; a search stops after ``mces_budget`` nodes, never on
-a clock, so it truncates alike on every machine.  ``k`` below 1 is rejected.
+a clock, so it truncates alike on every machine.  A ``k`` below 1 or above
+``MAX_CANDIDATES`` is rejected.
 
 Ground truths and candidates repeat across records and runs, so every SMILES
 goes through ``dataset.prepare``: a per-process LRU memo of ``MEMO_SIZE``
@@ -46,6 +47,12 @@ where workers fork.
 Each pool worker is pinned to its own CPU of the parent's affinity mask,
 round-robin, because forked workers start on the parent's CPU and, where
 the kernel does not balance load, would share it for the whole pool.
+
+``RATES`` declares each reported rate once: its aggregate.json key, the
+``PerSpectrumMetrics`` field it averages, its value over no records, its
+aggregate.csv label, and whether it is repeated over answered records and
+per weight bin.  ``aggregate`` builds the aggregate.json object from it, and
+``table_rows`` the aggregate.csv rows and the ``report`` table, in its order.
 """
 
 from __future__ import annotations
@@ -56,15 +63,16 @@ import multiprocessing
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .chem import ChemError, canonical_smiles, mol_from_smiles, same_structure
 from .chem.formula import ElementCounts, canonical_formula, parse_formula
 from .dataset import MEMO_SIZE, WEIGHT_BIN_LABELS, PreparedMol, SpectrumRecord, prepare, weight_bin
-from .protocol import ParsedResponse, parse_response
+from .protocol import MAX_CANDIDATES, ParsedResponse, parse_response
 from .similarity import DEFAULT_MCES_BUDGET, McesResult, check_budget, mces, mces_floor, morgan_fingerprint, tanimoto
 
 
@@ -119,9 +127,12 @@ def _prepare_truth(record: SpectrumRecord) -> PreparedMol:
 
 
 def check_k(k: int) -> None:
-    """Raises ``ValueError`` unless the top-k cutoff ``k`` is at least 1."""
+    """Raises ``ValueError`` unless the top-k cutoff ``k`` is at least 1 and
+    at most ``MAX_CANDIDATES``, the most candidates a parsed response keeps."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
+    if k > MAX_CANDIDATES:
+        raise ValueError(f"k must be at most {MAX_CANDIDATES}, the most candidates a response keeps, got {k}")
 
 
 def score_spectrum(
@@ -267,45 +278,45 @@ def audit_cot(parsed: ParsedResponse, record: SpectrumRecord) -> CotAudit:
     )
 
 
-@dataclass
-class AggregateReport:
-    k: int
-    n_records: int
-    n_answered: int
-    think_rate_pct: float
-    answer_rate_pct: float
-    smiles_validity_pct: float
-    dbe_accuracy_pct: float
-    formula_consistency_pct: float
-    exact_top1_pct: float
-    exact_topk_pct: float
-    mts_top1_mean: float
-    mts_topk_mean: float
-    mces_top1_mean: float
-    mces_topk_mean: float
-    mces_truncated_pct: float
-    answered: dict = field(default_factory=dict)
-    cot: dict = field(default_factory=dict)
-    bins: list = field(default_factory=list)
+@dataclass(frozen=True)
+class Rate:
+    """One reported rate: the mean of a ``PerSpectrumMetrics`` field over a
+    set of records, as a percentage when its key ends in ``_pct``."""
 
-    def table_rows(self) -> list[tuple[str, str]]:
-        k = self.k
-        return [
-            ("Records", str(self.n_records)),
-            ("Answered records", str(self.n_answered)),
-            ("Think Rate (%)", f"{self.think_rate_pct:.2f}"),
-            ("Answer Rate (%)", f"{self.answer_rate_pct:.2f}"),
-            ("SMILES Validity (%)", f"{self.smiles_validity_pct:.2f}"),
-            ("DBE Accuracy (%)", f"{self.dbe_accuracy_pct:.2f}"),
-            ("Formula Consistency (%)", f"{self.formula_consistency_pct:.2f}"),
-            ("Accuracy Top-1 (%)", f"{self.exact_top1_pct:.2f}"),
-            (f"Accuracy Top-{k} (%)", f"{self.exact_topk_pct:.2f}"),
-            ("Tanimoto Top-1", f"{self.mts_top1_mean:.4f}"),
-            (f"Tanimoto Top-{k}", f"{self.mts_topk_mean:.4f}"),
-            ("MCES Top-1", f"{self.mces_top1_mean:.4f}"),
-            (f"MCES Top-{k}", f"{self.mces_topk_mean:.4f}"),
-            ("MCES truncated (%)", f"{self.mces_truncated_pct:.2f}"),
-        ]
+    key: str  # aggregate.json key, and per_bin.csv column
+    field: str  # the PerSpectrumMetrics field it averages
+    label: str  # aggregate.csv label; {k} is the top-k cutoff
+    empty: float = 0.0  # its value over no records
+    answered: bool = True  # repeated over answered records only
+    per_bin: bool = False  # reported per weight bin
+
+    @property
+    def percent(self) -> bool:
+        return self.key.endswith("_pct")
+
+    def over(self, metrics: Sequence[PerSpectrumMetrics]) -> float:
+        n = len(metrics)
+        if not n:
+            return self.empty
+        total = sum(map(attrgetter(self.field), metrics))
+        return 100.0 * total / n if self.percent else total / n
+
+
+# Every reported rate, in aggregate.csv row and per_bin.csv column order.
+RATES = (
+    Rate("think_rate_pct", "has_think", "Think Rate (%)", answered=False),
+    Rate("answer_rate_pct", "has_answer", "Answer Rate (%)", answered=False),
+    Rate("smiles_validity_pct", "validity_top1", "SMILES Validity (%)"),
+    Rate("dbe_accuracy_pct", "dbe_correct_top1", "DBE Accuracy (%)"),
+    Rate("formula_consistency_pct", "formula_consistent_any", "Formula Consistency (%)"),
+    Rate("exact_top1_pct", "exact_top1", "Accuracy Top-1 (%)", per_bin=True),
+    Rate("exact_topk_pct", "exact_topk", "Accuracy Top-{k} (%)", per_bin=True),
+    Rate("mts_top1_mean", "mts_top1", "Tanimoto Top-1", per_bin=True),
+    Rate("mts_topk_mean", "mts_topk", "Tanimoto Top-{k}", per_bin=True),
+    Rate("mces_top1_mean", "mces_top1", "MCES Top-1", empty=1.0, per_bin=True),
+    Rate("mces_topk_mean", "mces_topk", "MCES Top-{k}", empty=1.0, per_bin=True),
+    Rate("mces_truncated_pct", "mces_truncated", "MCES truncated (%)", answered=False),
+)
 
 
 def _pct(flags: Iterable[bool], n: int) -> float:
@@ -313,58 +324,27 @@ def _pct(flags: Iterable[bool], n: int) -> float:
     return 100.0 * sum(flags) / n if n else 0.0
 
 
-def _mean(values: Iterable[float], n: int, empty: float = 0.0) -> float:
-    """Mean of ``n`` values; ``empty`` when ``n`` is 0."""
-    return sum(values) / n if n else empty
-
-
-def _structural_rates(metrics: Sequence[PerSpectrumMetrics]) -> dict:
-    """The rates reported per weight bin, in per_bin.csv column order."""
-    n = len(metrics)
-    return {
-        "exact_top1_pct": _pct((m.exact_top1 for m in metrics), n),
-        "exact_topk_pct": _pct((m.exact_topk for m in metrics), n),
-        "mts_top1_mean": _mean((m.mts_top1 for m in metrics), n),
-        "mts_topk_mean": _mean((m.mts_topk for m in metrics), n),
-        "mces_top1_mean": _mean((m.mces_top1 for m in metrics), n, empty=1.0),
-        "mces_topk_mean": _mean((m.mces_topk for m in metrics), n, empty=1.0),
-    }
-
-
-def _rates(metrics: Sequence[PerSpectrumMetrics]) -> dict:
-    """The structural rates plus validity, DBE and formula, with the count ``n``."""
-    n = len(metrics)
-    return {
-        "n": n,
-        "smiles_validity_pct": _pct((m.validity_top1 for m in metrics), n),
-        "dbe_accuracy_pct": _pct((m.dbe_correct_top1 for m in metrics), n),
-        "formula_consistency_pct": _pct((m.formula_consistent_any for m in metrics), n),
-        **_structural_rates(metrics),
-    }
-
-
 def aggregate(
     metrics: Sequence[PerSpectrumMetrics],
     audits: Sequence[CotAudit] = (),
     k: int = 10,
-) -> AggregateReport:
-    """Fold per-spectrum metrics into the benchmark report.
+) -> dict:
+    """Fold per-spectrum metrics into the benchmark report, the object
+    written as aggregate.json.
 
-    Structural and chemical rates use the full record count as denominator;
-    the ``answered`` section repeats them over answered records only, since
-    either convention is defensible.
+    Every rate uses the full record count as denominator; the ``answered``
+    section repeats those marked ``answered`` over answered records only,
+    since either convention is defensible.
     """
     if not metrics:
         raise EmptyInput("no per-spectrum metrics to aggregate")
-    overall = _rates(metrics)
-    n = overall.pop("n")
-    answered = _rates([m for m in metrics if m.has_answer])
+    answered = [m for m in metrics if m.has_answer]
 
     with_think = [a for a in audits if a.word_count > 0]
     n_audits = len(audits)
     cot = {
         "n_think": len(with_think),
-        "mean_cot_words": _mean((a.word_count for a in with_think), len(with_think)),
+        "mean_cot_words": sum(a.word_count for a in with_think) / len(with_think) if with_think else 0.0,
         "n_dbe_claims": sum(a.dbe_claim_correct is not None for a in audits),
         "dbe_claim_correct_pct": _pct((bool(a.dbe_claim_correct) for a in audits), n_audits),
         "n_formula_claims": sum(a.formula_claim_correct is not None for a in audits),
@@ -375,20 +355,27 @@ def aggregate(
     bins = []
     for label in WEIGHT_BIN_LABELS:
         in_bin = [m for m in metrics if m.bin == label]
-        bins.append({"bin": label, "count": len(in_bin), **_structural_rates(in_bin)})
+        bins.append({"bin": label, "count": len(in_bin), **{r.key: r.over(in_bin) for r in RATES if r.per_bin}})
 
-    return AggregateReport(
-        k=k,
-        n_records=n,
-        n_answered=answered["n"],
-        think_rate_pct=_pct((m.has_think for m in metrics), n),
-        answer_rate_pct=_pct((m.has_answer for m in metrics), n),
-        mces_truncated_pct=_pct((m.mces_truncated for m in metrics), n),
-        answered=answered,
-        cot=cot,
-        bins=bins,
-        **overall,
-    )
+    return {
+        "k": k,
+        "n_records": len(metrics),
+        "n_answered": len(answered),
+        **{r.key: r.over(metrics) for r in RATES},
+        "answered": {"n": len(answered), **{r.key: r.over(answered) for r in RATES if r.answered}},
+        "cot": cot,
+        "bins": bins,
+    }
+
+
+def table_rows(report: Mapping) -> list[tuple[str, str]]:
+    """The aggregate.csv rows of ``aggregate``'s report, also the ``report``
+    table: the record counts, then every rate, percentages to 2 decimals and
+    means to 4."""
+    rows = [("Records", str(report["n_records"])), ("Answered records", str(report["n_answered"]))]
+    for r in RATES:
+        rows.append((r.label.format(k=report["k"]), f"{report[r.key]:.{2 if r.percent else 4}f}"))
+    return rows
 
 
 def evaluate_one(
@@ -462,51 +449,36 @@ def _cell(value) -> object:
     return value
 
 
-def _write_rows(path: Path, row_type: type, rows: Sequence) -> None:
-    """One CSV row per ``row_type`` instance, under its field names."""
-    columns = [f.name for f in fields(row_type)]
+def _write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(getattr(row, name)) for name in columns])
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _dataclass_table(row_type: type, rows: Sequence) -> tuple[list[str], Iterable[list]]:
+    """``row_type``'s field names, and one row of cells per instance."""
+    columns = [f.name for f in fields(row_type)]
+    return columns, ([_cell(getattr(row, name)) for name in columns] for row in rows)
 
 
 def write_reports(
     out_dir: str | Path,
     metrics: Sequence[PerSpectrumMetrics],
     audits: Sequence[CotAudit],
-    report: AggregateReport,
-) -> dict[str, Path]:
+    report: Mapping,
+) -> None:
     """Write the per-spectrum, aggregate, per-bin and audit files.
 
     Output is deterministic: same inputs, byte-identical files.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "per_spectrum": out / "per_spectrum.csv",
-        "aggregate_csv": out / "aggregate.csv",
-        "aggregate_json": out / "aggregate.json",
-        "per_bin": out / "per_bin.csv",
-        "cot_audit": out / "cot_audit.csv",
-    }
-
-    _write_rows(paths["per_spectrum"], PerSpectrumMetrics, metrics)
-
-    with open(paths["aggregate_csv"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["metric", "value"])
-        writer.writerows(report.table_rows())
-
-    with open(paths["aggregate_json"], "w", encoding="utf-8") as fh:
-        json.dump(asdict(report), fh, indent=2, sort_keys=True)
+    _write_csv(out / "per_spectrum.csv", *_dataclass_table(PerSpectrumMetrics, metrics))
+    _write_csv(out / "aggregate.csv", ("metric", "value"), table_rows(report))
+    with open(out / "aggregate.json", "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-    with open(paths["per_bin"], "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(report.bins[0]))
-        writer.writeheader()
-        writer.writerows(report.bins)
-
-    _write_rows(paths["cot_audit"], CotAudit, audits)
-    return paths
+    bins = report["bins"]
+    _write_csv(out / "per_bin.csv", list(bins[0]), (row.values() for row in bins))
+    _write_csv(out / "cot_audit.csv", *_dataclass_table(CotAudit, audits))

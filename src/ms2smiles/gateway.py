@@ -38,21 +38,20 @@ STATUS_TIMEOUT = "timeout"
 STATUS_RATE_LIMITED = "rate_limited_exhausted"
 STATUS_TRANSPORT_ERROR = "transport_error"
 
+PROGRESS_EVERY = 100  # run_batch logs "completed n/N" after every this many outcomes
+
 
 class MissingApiKey(RuntimeError):
     pass
 
 
-class _Retryable(Exception):
-    def __init__(self, status: str, detail: str):
+class _Failure(Exception):
+    """A failed request: its ``batch_log.tsv`` status, and whether to retry it."""
+
+    def __init__(self, status: str, detail: str, retry: bool):
         super().__init__(detail)
         self.status = status
-
-
-class _Fatal(Exception):
-    def __init__(self, status: str, detail: str):
-        super().__init__(detail)
-        self.status = status
+        self.retry = retry
 
 
 @dataclass
@@ -157,21 +156,21 @@ class HttpChatProvider:
                 timeout=config.request_timeout,
             )
         except requests.Timeout as exc:
-            raise _Retryable(STATUS_TIMEOUT, str(exc)) from exc
+            raise _Failure(STATUS_TIMEOUT, str(exc), retry=True) from exc
         except requests.RequestException as exc:
-            raise _Retryable(STATUS_TRANSPORT_ERROR, str(exc)) from exc
+            raise _Failure(STATUS_TRANSPORT_ERROR, str(exc), retry=True) from exc
         status_code = response.status_code
         if status_code in RETRYABLE_STATUSES:
             kind = STATUS_RATE_LIMITED if status_code == 429 else STATUS_HTTP_ERROR
-            raise _Retryable(kind, f"HTTP {status_code}")
+            raise _Failure(kind, f"HTTP {status_code}", retry=True)
         if status_code != 200:
-            raise _Fatal(STATUS_HTTP_ERROR, f"HTTP {status_code}")
+            raise _Failure(STATUS_HTTP_ERROR, f"HTTP {status_code}", retry=False)
         try:
             text = response.json()["choices"][0]["message"]["content"]
         except Exception as exc:
-            raise _Fatal(STATUS_HTTP_ERROR, f"malformed response body: {exc}") from exc
+            raise _Failure(STATUS_HTTP_ERROR, f"malformed response body: {exc}", retry=False) from exc
         if not text:
-            raise _Fatal(STATUS_HTTP_ERROR, "empty completion")
+            raise _Failure(STATUS_HTTP_ERROR, "empty completion", retry=False)
         return text
 
 
@@ -185,9 +184,9 @@ class MockProvider:
         try:
             text = (self.directory / f"{record_id}.txt").read_text(encoding="utf-8")
         except FileNotFoundError:
-            raise _Fatal(STATUS_TRANSPORT_ERROR, f"no mock transcript for {record_id}") from None
+            raise _Failure(STATUS_TRANSPORT_ERROR, f"no mock transcript for {record_id}", retry=False) from None
         if not text:
-            raise _Fatal(STATUS_HTTP_ERROR, f"empty mock transcript for {record_id}")
+            raise _Failure(STATUS_HTTP_ERROR, f"empty mock transcript for {record_id}", retry=False)
         return text
 
 
@@ -213,15 +212,15 @@ def complete(
         attempts += 1
         try:
             text = provider.fetch(prompt, config, record_id)
-        except _Retryable as exc:
+        except _Failure as exc:
+            if not exc.retry:
+                return CompletionOutcome(record_id=record_id, status=exc.status, attempts=attempts)
             last_status = exc.status
             if attempts > config.max_retries:
                 break
             delay = min(config.retry_base_delay * (2 ** (attempts - 1)), 30.0)
             sleep(random.uniform(0, delay))
             continue
-        except _Fatal as exc:
-            return CompletionOutcome(record_id=record_id, status=exc.status, attempts=attempts)
         return CompletionOutcome(record_id=record_id, status=STATUS_OK, transcript=text, attempts=attempts)
     return CompletionOutcome(record_id=record_id, status=last_status, attempts=attempts)
 
@@ -232,7 +231,6 @@ def run_batch(
     cache: TranscriptCache,
     provider,
     sleep: Callable[[float], None] = time.sleep,
-    progress_every: int = 100,
     log: Callable[[str], None] | None = None,
     deliver: Callable[[CompletionOutcome], None] | None = None,
 ) -> list[CompletionOutcome]:
@@ -266,7 +264,7 @@ def run_batch(
         if deliver is not None:
             deliver(outcome)
         done += 1
-        if progress_every and done % progress_every == 0:
+        if done % PROGRESS_EVERY == 0:
             emit(f"completed {done}/{len(instances)}")
 
     if config.parallelism == 1:

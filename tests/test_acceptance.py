@@ -262,5 +262,5 @@ def test_criterion_10_throughput():
     assert elapsed < 1800, f"evaluation took {elapsed:.0f}s"
     _passes(
         f"10 (1000 spectra x 10 candidates in {elapsed:.0f}s, "
-        f"truncated MCES fraction {report.mces_truncated_pct:.2f}%)"
+        f"truncated MCES fraction {report['mces_truncated_pct']:.2f}%)"
     )

@@ -15,6 +15,7 @@ import pytest
 from ms2smiles import cli
 from ms2smiles.cli import main
 from ms2smiles.gateway import MockProvider
+from ms2smiles.protocol import MAX_CANDIDATES
 
 FIXTURE = str(Path(__file__).parent / "data" / "fixture.tsv")
 TRANSCRIPTS = str(Path(__file__).parent / "data" / "transcripts")
@@ -235,6 +236,23 @@ def test_interrupted_run_leaves_the_delivered_transcripts_and_no_batch_log(tmp_p
     assert report_bytes() == before
 
 
+def test_a_run_whose_provider_cannot_start_leaves_the_finished_run_scorable(tmp_path, monkeypatch, capsys):
+    run_dir = tmp_path / "run"
+    _run_pipeline(run_dir)
+
+    def contents():
+        return {p: p.read_bytes() if p.is_file() else None for p in run_dir.rglob("*")}
+
+    before = contents()
+    monkeypatch.delenv("MS2SMILES_API_KEY", raising=False)
+    args = ["--dataset", FIXTURE, "--run-dir", str(run_dir), "--split", "test"]
+    assert main(["run", *args, "--provider", "http", "--model", "m2"]) == 3
+    assert "MS2SMILES_API_KEY is not set" in capsys.readouterr().err
+    assert contents() == before
+    assert main(["evaluate", *args, "--workers", "1"]) == 0
+    assert contents() == before
+
+
 def test_the_benchmark_run_directory_sequence_leaves_a_scorable_run(tmp_path):
     """The steps of ``bench/iteration.py`` on the fixture: a pre-warm ``run``
     of some records, the removal of its transcripts and batch log, then
@@ -429,6 +447,16 @@ def test_k_below_one_is_usage_error(tmp_path, capsys, k):
     config = tmp_path / "bad.conf"
     config.write_text(f"dataset = {FIXTURE}\nk = {k}\n", encoding="utf-8")
     assert main(["evaluate", "--config", str(config), "--run-dir", str(tmp_path)]) == 2
+
+
+def test_k_above_the_candidates_a_response_keeps_is_usage_error(tmp_path, capsys):
+    assert MAX_CANDIDATES == 32
+    assert main(["evaluate", "--dataset", FIXTURE, "--run-dir", str(tmp_path), "--k", "33"]) == 2
+    assert "k must be at most 32" in capsys.readouterr().err
+    config = tmp_path / "bad.conf"
+    config.write_text(f"dataset = {FIXTURE}\nk = 33\n", encoding="utf-8")
+    assert main(["evaluate", "--config", str(config), "--run-dir", str(tmp_path)]) == 2
+    assert "k must be at most 32" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("workers", ["-1", "-2"])

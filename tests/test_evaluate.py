@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import json
 import os
 import random
 import time
@@ -14,7 +15,7 @@ import ms2smiles.chem.canon as canon_module
 import ms2smiles.dataset as dataset_module
 from ms2smiles.chem import ChemError, canonical_formula, canonical_smiles, mol_from_smiles, molecular_formula, write_smiles
 from ms2smiles.cli import main
-from ms2smiles.dataset import SpectrumRecord, load_dataset
+from ms2smiles.dataset import WEIGHT_BIN_LABELS, SpectrumRecord, load_dataset
 import ms2smiles.evaluate as evaluate_module
 import ms2smiles.similarity.fingerprints as fingerprints_module
 from ms2smiles.evaluate import (
@@ -26,6 +27,7 @@ from ms2smiles.evaluate import (
     pair_mces,
     prepare,
     score_spectrum,
+    table_rows,
     write_reports,
 )
 from ms2smiles.protocol import ParsedResponse, parse_response
@@ -139,6 +141,15 @@ def test_k_below_one_is_rejected(k):
         score_spectrum(record, response(["CCO", "CCC"]), k=k)
     with pytest.raises(ValueError, match="k must be at least 1"):
         evaluate_records([record], {record.id: "<answer>CCO</answer>"}, k=k)
+
+
+def test_k_above_the_candidates_a_response_keeps_is_rejected():
+    record = make_record("CCO")
+    with pytest.raises(ValueError, match="k must be at most 32"):
+        score_spectrum(record, response(["CCO", "CCC"]), k=33)
+    with pytest.raises(ValueError, match="k must be at most 32"):
+        evaluate_records([record], {record.id: "<answer>CCO</answer>"}, k=33)
+    assert score_spectrum(record, response(["CCC"] * 31 + ["CCO"]), k=32).exact_topk
 
 
 @pytest.mark.parametrize("budget", [1.0, 0, True])
@@ -368,16 +379,16 @@ def test_audit_never_raises_on_garbage_think(text):
 def test_aggregate_single_record():
     m = score_spectrum(make_record(), response(["CC(C)(C)N"]))
     report = aggregate([m], [], k=10)
-    assert report.exact_topk_pct == 100.0
-    assert report.n_records == 1
+    assert report["exact_topk_pct"] == 100.0
+    assert report["n_records"] == 1
 
 
 def test_aggregate_think_rate():
     a, _ = evaluate_one(make_record(rid="a"), "<think>x</think>")
     b, _ = evaluate_one(make_record(rid="b"), "no tags at all")
     report = aggregate([a, b], k=10)
-    assert report.think_rate_pct == 50.0
-    assert report.answer_rate_pct == 0.0
+    assert report["think_rate_pct"] == 50.0
+    assert report["answer_rate_pct"] == 0.0
 
 
 def test_aggregate_requires_input():
@@ -387,8 +398,10 @@ def test_aggregate_requires_input():
 
 def test_aggregate_table_rows_schema():
     m = score_spectrum(make_record(), response(["CC(C)(C)N"]))
-    labels = [label for label, _ in aggregate([m], [], k=10).table_rows()]
-    for expected in (
+    labels = [label for label, _ in table_rows(aggregate([m], [], k=10))]
+    assert labels == [
+        "Records",
+        "Answered records",
         "Think Rate (%)",
         "Answer Rate (%)",
         "SMILES Validity (%)",
@@ -400,8 +413,8 @@ def test_aggregate_table_rows_schema():
         "Tanimoto Top-10",
         "MCES Top-1",
         "MCES Top-10",
-    ):
-        assert expected in labels
+        "MCES truncated (%)",
+    ]
 
 
 def test_aggregation_linearity():
@@ -416,10 +429,10 @@ def test_aggregation_linearity():
     whole = aggregate(metrics, k=5)
     part_a = aggregate(left, k=5)
     part_b = aggregate(right, k=5)
-    n_a, n_b = part_a.n_records, part_b.n_records
+    n_a, n_b = part_a["n_records"], part_b["n_records"]
     for field in ("mts_topk_mean", "mces_topk_mean", "exact_topk_pct", "smiles_validity_pct"):
-        merged = (getattr(part_a, field) * n_a + getattr(part_b, field) * n_b) / (n_a + n_b)
-        assert getattr(whole, field) == pytest.approx(merged)
+        merged = (part_a[field] * n_a + part_b[field] * n_b) / (n_a + n_b)
+        assert whole[field] == pytest.approx(merged)
 
 
 def test_bin_totals_sum_to_overall():
@@ -428,7 +441,92 @@ def test_bin_totals_sum_to_overall():
         score_spectrum(make_record("CCO", rid="b"), response([])),
     ]
     report = aggregate(metrics, k=10)
-    assert sum(row["count"] for row in report.bins) == report.n_records
+    assert sum(row["count"] for row in report["bins"]) == report["n_records"]
+
+
+# aggregate.json key -> (per_spectrum.csv column it averages, value over no
+# records, aggregate.csv label with {k} for the cutoff), in aggregate.csv order
+RATE_COLUMNS = {
+    "think_rate_pct": ("has_think", 0.0, "Think Rate (%)"),
+    "answer_rate_pct": ("has_answer", 0.0, "Answer Rate (%)"),
+    "smiles_validity_pct": ("validity_top1", 0.0, "SMILES Validity (%)"),
+    "dbe_accuracy_pct": ("dbe_correct_top1", 0.0, "DBE Accuracy (%)"),
+    "formula_consistency_pct": ("formula_consistent_any", 0.0, "Formula Consistency (%)"),
+    "exact_top1_pct": ("exact_top1", 0.0, "Accuracy Top-1 (%)"),
+    "exact_topk_pct": ("exact_topk", 0.0, "Accuracy Top-{k} (%)"),
+    "mts_top1_mean": ("mts_top1", 0.0, "Tanimoto Top-1"),
+    "mts_topk_mean": ("mts_topk", 0.0, "Tanimoto Top-{k}"),
+    "mces_top1_mean": ("mces_top1", 1.0, "MCES Top-1"),
+    "mces_topk_mean": ("mces_topk", 1.0, "MCES Top-{k}"),
+    "mces_truncated_pct": ("mces_truncated", 0.0, "MCES truncated (%)"),
+}
+OVERALL_ONLY = ("think_rate_pct", "answer_rate_pct", "mces_truncated_pct")
+PER_BIN = ("exact_top1_pct", "exact_topk_pct", "mts_top1_mean", "mts_topk_mean", "mces_top1_mean", "mces_topk_mean")
+
+# Ground truths in four weight bins, answered and unanswered, with invalid,
+# missed, top-1 and top-k candidates.
+SPREAD_RECORDS = {
+    "light-hit": ("CCO", "<think>* Formula: C2H6O</think><answer>CCO, CCC</answer>"),
+    "light-silent": ("c1ccccc1", "<think>an aromatic ring</think>"),
+    "mid-topk": ("CC(C)Cc1ccc(cc1)C(C)C(=O)O", "<answer>C1CC, CC(C)Cc1ccc(cc1)C(C)C(=O)O</answer>"),
+    "mid-near": ("C" * 20 + "O", "<answer>" + "C" * 20 + ", CC(C</answer>"),
+    "heavy-near": ("C" * 30, "<think>long chain</think><answer>" + "C" * 29 + "O, CC</answer>"),
+    "heavy-empty": ("OC(=O)" + "C" * 29, ""),
+    "heavier-silent": ("C" * 45, "no tags at all"),
+}
+
+
+def test_every_reported_rate_is_plain_arithmetic_over_per_spectrum_csv(tmp_path):
+    records = [make_record(smiles, rid=rid) for rid, (smiles, _) in SPREAD_RECORDS.items()]
+    transcripts = {rid: text for rid, (_, text) in SPREAD_RECORDS.items()}
+    metrics, audits = evaluate_records(records, transcripts, k=3, mces_budget=16)  # two searches truncate
+    write_reports(tmp_path, metrics, audits, aggregate(metrics, audits, k=3))
+    with open(tmp_path / "per_spectrum.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    with open(tmp_path / "per_bin.csv", newline="", encoding="utf-8") as fh:
+        per_bin = list(csv.reader(fh))
+    with open(tmp_path / "aggregate.csv", newline="", encoding="utf-8") as fh:
+        table = list(csv.reader(fh))
+    data = json.loads((tmp_path / "aggregate.json").read_text(encoding="utf-8"))
+
+    def rate(key, subset):
+        column, empty, _ = RATE_COLUMNS[key]
+        if not subset:
+            return empty
+        if key.endswith("_pct"):
+            return 100.0 * sum(int(row[column]) for row in subset) / len(subset)
+        return sum(float(row[column]) for row in subset) / len(subset)
+
+    answered = [row for row in rows if row["has_answer"] == "1"]
+    bins = {label: [row for row in rows if row["bin"] == label] for label in WEIGHT_BIN_LABELS}
+    assert 0 < len(answered) < len(rows)
+    assert sum(1 for subset in bins.values() if subset) >= 3
+    assert 0 < sum(row["mces_truncated"] == "1" for row in rows) < len(answered)
+
+    assert (data["k"], data["n_records"], data["n_answered"]) == (3, len(rows), len(answered))
+    for key in RATE_COLUMNS:
+        assert data[key] == rate(key, rows), key
+    assert data["answered"] == {
+        "n": len(answered),
+        **{key: rate(key, answered) for key in RATE_COLUMNS if key not in OVERALL_ONLY},
+    }
+    expected_bins = [
+        {"bin": label, "count": len(subset), **{key: rate(key, subset) for key in PER_BIN}}
+        for label, subset in bins.items()
+    ]
+    assert data["bins"] == expected_bins
+    assert per_bin[0] == ["bin", "count", *PER_BIN]
+    assert per_bin[1:] == [[str(value) for value in row.values()] for row in expected_bins]
+
+    assert table == [
+        ["metric", "value"],
+        ["Records", str(len(rows))],
+        ["Answered records", str(len(answered))],
+        *(
+            [label.format(k=3), f"{rate(key, rows):.{2 if key.endswith('_pct') else 4}f}"]
+            for key, (_, _, label) in RATE_COLUMNS.items()
+        ),
+    ]
 
 
 MEMO_TRANSCRIPT = (
