@@ -5,7 +5,8 @@ Pipeline:
 1. fold plain explicit-hydrogen nodes into their heavy neighbor;
 2. resolve unmarked bonds between aromatic atoms (aromatic in a ring,
    single otherwise);
-3. kekulize input-aromatic systems by backtracking perfect matching;
+3. kekulize input-aromatic systems by backtracking perfect matching,
+   trying atoms in index order;
 4. assign implicit hydrogens from the valence model and check valences;
 5. detect aromatic rings on the kekulized graph (per-ring electron count,
    4n+2) and verify every input-aromatic atom sits in one;
@@ -13,9 +14,18 @@ Pipeline:
    ranks, so every representation of the same molecule carries the same
    double-bond pattern.
 
-Step 6 is what makes "OC1=CC=CC=C1R" and "Oc1ccccc1R" indistinguishable to
-canonicalization, fingerprints and MCES.  Steps 3 and 6 share one matcher,
-``_place_double_bonds``; step 5 reuses the ring bonds found for step 2.
+Two matchings in step 3 differ only around cycles, so every atom gets the
+same bond-order sum and multiple-bond flags from any of them: steps 4 and 5
+find the same hydrogens and rings, and step 6 rewrites every perceived
+aromatic bond.  Only an input-aromatic bond outside every perceived ring
+(biphenylene's four-ring in lowercase) keeps step 3's order; then
+``perceive`` places step 3 again over ranks refined from the raw atom labels.
+
+Step 6 gives "OC1=CC=CC=C1R" and "Oc1ccccc1R" one Kekulé pattern.  The
+canonical writer and fingerprints read normalized bond labels and never see
+it; only MCES, whose edge labels are kekulized orders, does.  Steps 3 and 6
+share one matcher, ``_place_double_bonds``; step 5 reuses the ring bonds
+found for step 2.
 
 ``perceive`` builds one new ``Molecule`` after step 1 and finishes it in
 place; the molecule it is given is never mutated.  No step changes a bond's
@@ -53,10 +63,15 @@ def perceive(mol: Molecule) -> Molecule:
 
     adj = out.adjacency()
     _check_aromatic_flags(atoms, adj, orders)
-    _kekulize(atoms, bonds, adj, orders, collapsed)
+    written = _kekulize(atoms, bonds, adj, orders, collapsed)
     out.hydrogens = _fill_hydrogens(atoms, adj, orders, collapsed)
     out.bonds = [Bond(b.a, b.b, orders[bi]) for bi, b in enumerate(bonds)]
     arom_atoms, arom_bonds = _perceive_aromatic_rings(out)
+    if not arom_bonds.issuperset(written):  # step 6 leaves these as step 3 placed them
+        for bi in written:
+            orders[bi] = BondOrder.AROMATIC
+        _kekulize(atoms, bonds, adj, orders, collapsed, ranked=True)
+        out.bonds = [Bond(b.a, b.b, orders[bi]) for bi, b in enumerate(bonds)]
 
     for i, atom in enumerate(atoms):
         if atom.aromatic and i not in arom_atoms:
@@ -136,34 +151,37 @@ def _needs_pi_bond(atoms, adj, orders, collapsed, i: int) -> bool:
     return False
 
 
-def _kekulize(atoms, bonds, adj, orders, collapsed) -> None:
-    """Assign single/double orders over the aromatic bonds, in place."""
+def _kekulize(atoms, bonds, adj, orders, collapsed, ranked: bool = False) -> list[int]:
+    """Assign single/double orders over the aromatic bonds, in place, trying
+    atoms in index order, or with ``ranked`` in the order of ranks refined
+    from the raw atom labels.  Returns the bonds it assigned."""
     arom_bonds = [bi for bi, o in enumerate(orders) if o == BondOrder.AROMATIC]
     if not arom_bonds:
-        return
+        return arom_bonds
     needy = {
         i
         for bi in arom_bonds
         for i in (bonds[bi].a, bonds[bi].b)
         if _needs_pi_bond(atoms, adj, orders, collapsed, i)
     }
-
-    # Canonical-ish ranks from raw labels keep the search order deterministic.
-    seeds = [
-        (a.element, a.charge, a.isotope or 0, -1 if a.explicit_h is None else a.explicit_h,
-         a.aromatic, len(adj[i]))
-        for i, a in enumerate(atoms)
-    ]
-    label_adj = [[(int(orders[bi]), j) for j, bi in adj[i]] for i in range(len(atoms))]
-    if not _place_double_bonds(bonds, arom_bonds, needy, seeds, label_adj, orders):
+    ranks = range(len(atoms))
+    if ranked:
+        seeds = [
+            (a.element, a.charge, a.isotope or 0, -1 if a.explicit_h is None else a.explicit_h,
+             a.aromatic, len(adj[i]))
+            for i, a in enumerate(atoms)
+        ]
+        label_adj = [[(int(orders[bi]), j) for j, bi in adj[i]] for i in range(len(atoms))]
+        ranks, _ = refine_ranks(seeds, label_adj)
+    if not _place_double_bonds(bonds, arom_bonds, needy, ranks, orders):
         raise KekulizationFailure("no alternating single/double assignment exists")
+    return arom_bonds
 
 
-def _place_double_bonds(bonds, arom_bonds, needy, seeds, label_adj, orders) -> bool:
+def _place_double_bonds(bonds, arom_bonds, needy, ranks, orders) -> bool:
     """Write single/double ``orders`` over ``arom_bonds`` giving each ``needy``
-    atom one double bond, trying atoms in the order of the ranks refined from
-    ``seeds`` over ``label_adj``.  False when no such assignment exists."""
-    ranks, _ = refine_ranks(seeds, label_adj)
+    atom one double bond, trying atoms in the order of ``ranks`` (ties by
+    index).  False when no such assignment exists."""
     partners: dict[int, list[int]] = {i: [] for i in needy}
     for bi in arom_bonds:
         a, b = bonds[bi].a, bonds[bi].b
@@ -315,7 +333,8 @@ def _canonical_rekekulize(
         [(int(BondOrder.AROMATIC) if bi in arom_bonds else int(orders[bi]), j) for j, bi in adj[i]]
         for i in range(mol.n_atoms)
     ]
-    if not _place_double_bonds(mol.bonds, arom_bonds, needy, seeds, label_adj, orders):
+    ranks, _ = refine_ranks(seeds, label_adj)
+    if not _place_double_bonds(mol.bonds, arom_bonds, needy, ranks, orders):
         # the pre-normalization pattern is a witness
         raise KekulizationFailure("internal: aromatic ring lost its kekule pattern")
     mol.bonds = [Bond(b.a, b.b, orders[bi]) for bi, b in enumerate(mol.bonds)]

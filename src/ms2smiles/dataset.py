@@ -210,7 +210,8 @@ def _build_record(label: str, fields: dict, skipped: list) -> SpectrumRecord | N
         return None
 
     smiles = str(fields.get("smiles", "")).strip()
-    if prepare(smiles) is None:
+    truth = prepare(smiles)
+    if truth is None:
         skip("BadGroundTruth")
         return None
 
@@ -218,6 +219,10 @@ def _build_record(label: str, fields: dict, skipped: list) -> SpectrumRecord | N
         formula = parse_formula(str(fields.get("precursor_formula", "")))
     except ChemError:
         skip("BadFormula")
+        return None
+    # Formula consistency reads this formula and DBE accuracy the ground truth's.
+    if formula != truth.formula:
+        skip("FormulaMismatch")
         return None
 
     split = str(fields.get("fold", "")).strip().lower()
@@ -294,7 +299,9 @@ def _iter_jsonl(path: Path):
 def load_dataset(path: str, split: str | None = None) -> LoadResult:
     """Load and validate records; invalid rows are tallied, not fatal.
 
-    A later repeat of a record's id (it names the transcript) is skipped as ``DuplicateId``.
+    A later repeat of a record's id (it names the transcript) is skipped as
+    ``DuplicateId``, and a row whose precursor formula is not its ground
+    truth's as ``FormulaMismatch``.
 
     Each ground truth is validated through ``prepare``, so it is parsed once
     however many spectra share it, and scoring reuses the result while it

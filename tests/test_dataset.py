@@ -76,6 +76,19 @@ def test_negative_intensity_has_its_own_reason(tmp_path):
     assert "NegativeIntensity: 1" in result.report_text()
 
 
+def test_a_precursor_formula_that_is_not_the_ground_truths_is_skipped(tmp_path):
+    rows = [
+        "ok\t10.0\t1.0\tc1ccccc1O\tC6H6O\t[M+H]+\tQTOF\t20\ttest",
+        "isomer\t10.0\t1.0\tCOC\tC2H6O\t[M+H]+\tQTOF\t20\ttest",
+        "one-h-short\t10.0\t1.0\tc1ccccc1O\tC6H5O\t[M+H]+\tQTOF\t20\ttest",
+        "other-molecule\t10.0\t1.0\tCCO\tC6H6O\t[M+H]+\tQTOF\t20\ttest",
+    ]
+    result = load_dataset(_write_tsv(tmp_path / "formulas.tsv", rows))
+    assert [r.id for r in result.records] == ["ok", "isomer"]
+    assert result.skipped == [("line 4", "FormulaMismatch"), ("line 5", "FormulaMismatch")]
+    assert "FormulaMismatch: 2" in result.report_text()
+
+
 @pytest.mark.parametrize(
     "row, reason",
     [

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import csv
+from pathlib import Path
+
 import pytest
 
 import ms2smiles.chem.perception as perception_module
@@ -10,12 +13,14 @@ from ms2smiles.chem import (
     KekulizationFailure,
     ValenceViolation,
     canonical_formula,
+    canonical_smiles,
     mol_from_smiles,
     molecular_formula,
     molecules_equal,
     parse_smiles,
     perceive,
 )
+from ms2smiles.similarity.mces import mces
 
 
 def test_benzene_kekulized():
@@ -146,3 +151,93 @@ def test_perceive_builds_one_molecule_and_leaves_its_input_alone(monkeypatch):
         mol = perceive(raw)
         assert built == [mol], smiles
         assert fields() == before, smiles
+
+
+BENCH_MOLECULES = Path(__file__).resolve().parents[1] / "bench" / "data" / "molecules.tsv"
+KEKULIZE = perception_module._kekulize
+# Fused ring systems whose four- or five-ring bonds are written aromatic in
+# lowercase but perceived in no aromatic ring: (lowercase, with "-").
+EDGE_SPELLINGS = [
+    ("c1ccc2c3ccccc3c2c1", "c1ccc-2c(c1)-c1ccccc-21"),  # biphenylene
+    ("c1ccc2c(c1)c1cccc3cccc2c13", "c1ccc-2c(c1)-c1cccc3cccc-2c13"),  # fluoranthene
+    ("Cc1ccc2c3ccccc3c2c1", "Cc1ccc-2c(c1)-c1ccccc-21"),  # 2-methylbiphenylene
+]
+
+
+def _corpus_and_bench_smiles(corpus):
+    with open(BENCH_MOLECULES, newline="", encoding="utf-8") as fh:
+        return corpus + [row["smiles"] for row in csv.DictReader(fh, delimiter="\t")]
+
+
+def _perceived(smiles):
+    try:
+        mol = mol_from_smiles(smiles)
+    except ChemError as exc:
+        return type(exc).__name__
+    return [b.order for b in mol.bonds], mol.hydrogens, mol.aromatic_atoms, mol.aromatic_bonds
+
+
+def _record_kekulize(monkeypatch, force_ranked):
+    """Patch step 3 to log (ranked, its orders) per call, optionally always ranked."""
+    calls = []
+
+    def recorded(atoms, bonds, adj, orders, collapsed, ranked=False):
+        ranked = ranked or force_ranked
+        written = KEKULIZE(atoms, bonds, adj, orders, collapsed, ranked=ranked)
+        calls.append((ranked, list(orders)))
+        return written
+
+    monkeypatch.setattr(perception_module, "_kekulize", recorded)
+    return calls
+
+
+def test_step_three_order_never_reaches_the_output(corpus, monkeypatch):
+    smiles = _corpus_and_bench_smiles(corpus)
+    by_index = _record_kekulize(monkeypatch, force_ranked=False)
+    default = [_perceived(s) for s in smiles]
+    assert not any(ranked for ranked, _ in by_index)  # the re-placement never runs here
+    by_rank = _record_kekulize(monkeypatch, force_ranked=True)
+    assert [_perceived(s) for s in smiles] == default
+    # The two orders place step 3 differently, so the equality above is not vacuous.
+    assert len(by_index) == len(by_rank)
+    assert sum(a != b for (_, a), (_, b) in zip(by_index, by_rank)) > 100
+
+
+@pytest.mark.parametrize("lowercase, dashed", EDGE_SPELLINGS)
+def test_unperceived_written_aromatic_bonds_keep_one_pattern(lowercase, dashed, monkeypatch):
+    calls = _record_kekulize(monkeypatch, force_ranked=False)
+    a = mol_from_smiles(lowercase)
+    assert [ranked for ranked, _ in calls] == [False, True]
+    calls.clear()
+    b = mol_from_smiles(dashed)
+    assert [ranked for ranked, _ in calls] == [False]
+    assert canonical_smiles(a) == canonical_smiles(b)
+    assert mces(a, b).dissimilarity == 0.0
+
+
+def test_one_rank_refinement_per_aromatic_molecule(corpus, monkeypatch):
+    refine = perception_module.refine_ranks
+    calls = []
+
+    def counted(seeds, adjacency):
+        calls.append(len(seeds))
+        return refine(seeds, adjacency)
+
+    monkeypatch.setattr(perception_module, "refine_ranks", counted)
+    written_aromatic = without_ring = 0
+    for smiles in corpus:
+        calls.clear()
+        try:
+            mol = mol_from_smiles(smiles)
+        except ChemError:
+            continue
+        assert len(calls) == (1 if mol.aromatic_bonds else 0), smiles
+        written_aromatic += any(atom.aromatic for atom in parse_smiles(smiles).atoms)
+        without_ring += not mol.aromatic_bonds
+    assert written_aromatic > 300 and without_ring > 300
+
+
+def test_kekule_search_stops_at_its_step_limit():
+    # 18 benzenes, each matched two ways, before an odd ring that no matching covers.
+    with pytest.raises(KekulizationFailure, match="search limit exceeded"):
+        mol_from_smiles(".".join(["c1ccccc1"] * 18 + ["c1cccc1"]))
