@@ -17,10 +17,12 @@ error class, and for a valid molecule on its canonical SMILES, bond orders
 fingerprint.  Each SMILES that differs is printed with the fields that do.
 
 Then the two trees take ``--turns`` turns each, alternating which goes
-first.  A turn is a fresh process that parses the 22 molecules of
+first.  In a turn, each of two sets, the 22 molecules of
 ``bench/data/large_library.tsv`` and the 96 of
-``bench/data/small_universe.tsv`` once each, timing each set in CPU time.
-Prints per set the median [lower quartile, upper quartile] CPU-ms per tree
+``bench/data/small_universe.tsv``, gets a fresh process that parses the
+set once and then fingerprints the parsed molecules once, timing each step
+in CPU time, so both steps start from cold per-process memos.  Prints per
+set and step the median [lower quartile, upper quartile] CPU-ms per tree
 and the old/new ratio of the medians.  Exits 1 if any SMILES differs or a
 process fails on either tree.  Standard library only.
 """
@@ -62,14 +64,15 @@ from ms2smiles.similarity.fingerprints import morgan_fingerprint
 
 groups = json.load(sys.stdin)
 if mode == "time":
-    mol_from_smiles("Oc1ccccc1")  # first-call costs are not a molecule's
-    spent = []
-    for group in groups:
-        start = time.process_time()
-        for smiles in group:
-            mol_from_smiles(smiles)
-        spent.append(1000.0 * (time.process_time() - start))
-    json.dump(spent, sys.stdout)
+    morgan_fingerprint(mol_from_smiles("Oc1ccccc1"))  # first-call costs are not a molecule's
+    (group,) = groups
+    start = time.process_time()
+    mols = [mol_from_smiles(smiles) for smiles in group]
+    parsed = time.process_time()
+    for mol in mols:
+        morgan_fingerprint(mol)
+    done = time.process_time()
+    json.dump([1000.0 * (parsed - start), 1000.0 * (done - parsed)], sys.stdout)
     sys.exit()
 
 def perceived(smiles):
@@ -160,22 +163,25 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{len(smiles)} SMILES compared, {differing} differ")
 
     sets = timed_sets()
-    times = {(name, side): [] for name in sets for side in sides}
+    steps = ("parse", "fingerprint")
+    times = {(name, step, side): [] for name in sets for step in steps for side in sides}
     for turn in range(args.turns):
         for side in ("old", "new") if turn % 2 == 0 else ("new", "old"):
-            answer = child(sides[side], "time", list(sets.values()))
-            if isinstance(answer, str):
-                print(f"{side} turn {turn}: {answer}")
-                failures += 1
-                continue
-            for name, ms in zip(sets, answer):
-                times[name, side].append(ms)
+            for name, group in sets.items():
+                answer = child(sides[side], "time", [group])
+                if isinstance(answer, str):
+                    print(f"{side} turn {turn} {name}: {answer}")
+                    failures += 1
+                    continue
+                for step, ms in zip(steps, answer):
+                    times[name, step, side].append(ms)
     if args.turns and not failures:
-        print(f"cold parse CPU ms, median [quartiles] of {args.turns} alternating turns per tree")
-        for name, group in sets.items():
-            old, new = times[name, "old"], times[name, "new"]
-            ratio = statistics.median(old) / statistics.median(new)
-            print(f"{name} ({len(group)}): old {summary(old)}  new {summary(new)}  old/new {ratio:.2f}x")
+        for step in steps:
+            print(f"cold {step} CPU ms, median [quartiles] of {args.turns} alternating turns per tree")
+            for name, group in sets.items():
+                old, new = times[name, step, "old"], times[name, step, "new"]
+                ratio = statistics.median(old) / statistics.median(new)
+                print(f"{name} ({len(group)}): old {summary(old)}  new {summary(new)}  old/new {ratio:.2f}x")
     same = not failures and not differing
     print("same perception" if same else f"{differing} SMILES differ, {failures} failed processes")
     return 0 if same else 1

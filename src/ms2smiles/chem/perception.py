@@ -12,7 +12,11 @@ Pipeline:
    4n+2) and verify every input-aromatic atom sits in one;
 6. re-kekulize the detected rings deterministically from canonical atom
    ranks, so every representation of the same molecule carries the same
-   double-bond pattern.
+   double-bond pattern.  Atoms are ranked only when the needy subgraph (the
+   atoms that need a double bond and the aromatic bonds between them) has a
+   cycle; a forest has one perfect matching, placed in atom-index order, as
+   in a molecule whose only aromatic rings are pyrroles, furans, thiophenes
+   or imidazoles.
 
 Two matchings in step 3 differ only around cycles, so every atom gets the
 same bond-order sum and multiple-bond flags from any of them: steps 4 and 5
@@ -310,11 +314,37 @@ def _perceive_aromatic_rings(mol: Molecule) -> tuple[frozenset[int], frozenset[i
     return frozenset(arom_atoms), frozenset(arom_bonds)
 
 
+def _is_forest(bonds, arom_bonds, needy) -> bool:
+    """Do the ``needy`` atoms and the ``arom_bonds`` between them form a forest?
+
+    Two perfect matchings differ along alternating cycles, so a forest has at
+    most one and every atom order places it."""
+    root = {i: i for i in needy}
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for bi in arom_bonds:
+        a, b = bonds[bi].a, bonds[bi].b
+        if a in needy and b in needy:
+            ra, rb = find(a), find(b)
+            if ra == rb:
+                return False
+            root[ra] = rb
+    return True
+
+
 def _canonical_rekekulize(
     mol: Molecule, arom_atoms: frozenset[int], arom_bonds: frozenset[int]
 ) -> None:
     """Redistribute double bonds inside perceived aromatic rings, in place,
-    so the pattern depends only on the molecule, not on the input traversal."""
+    so the pattern depends only on the molecule, not on the input traversal.
+
+    Atoms are ranked only when the needy subgraph has a cycle; otherwise its
+    one matching is placed in atom-index order."""
     if not arom_bonds:
         return
     orders = [bond.order for bond in mol.bonds]
@@ -325,15 +355,17 @@ def _canonical_rekekulize(
         for i in (mol.bonds[bi].a, mol.bonds[bi].b)
         if any(orders[b] == BondOrder.DOUBLE and b in arom_bonds for _, b in adj[i])
     }
-    seeds = [
-        (a.element, a.charge, a.isotope or 0, mol.hydrogens[i], len(adj[i]), i in arom_atoms)
-        for i, a in enumerate(mol.atoms)
-    ]
-    label_adj = [
-        [(int(BondOrder.AROMATIC) if bi in arom_bonds else int(orders[bi]), j) for j, bi in adj[i]]
-        for i in range(mol.n_atoms)
-    ]
-    ranks, _ = refine_ranks(seeds, label_adj)
+    ranks = range(mol.n_atoms)
+    if not _is_forest(mol.bonds, arom_bonds, needy):
+        seeds = [
+            (a.element, a.charge, a.isotope or 0, mol.hydrogens[i], len(adj[i]), i in arom_atoms)
+            for i, a in enumerate(mol.atoms)
+        ]
+        label_adj = [
+            [(int(BondOrder.AROMATIC) if bi in arom_bonds else int(orders[bi]), j) for j, bi in adj[i]]
+            for i in range(mol.n_atoms)
+        ]
+        ranks, _ = refine_ranks(seeds, label_adj)
     if not _place_double_bonds(mol.bonds, arom_bonds, needy, ranks, orders):
         # the pre-normalization pattern is a witness
         raise KekulizationFailure("internal: aromatic ring lost its kekule pattern")

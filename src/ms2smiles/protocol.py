@@ -103,12 +103,20 @@ def render_prompt(record: SpectrumRecord, template: str) -> PromptInstance:
     return PromptInstance(record_id=record.id, text=text, template_version=version)
 
 
+# (opening, closing) patterns per transcript block tag.
+_BLOCK_RES = {
+    tag: (re.compile(rf"<{tag}>", re.IGNORECASE), re.compile(rf"</{tag}>", re.IGNORECASE))
+    for tag in ("think", "answer")
+}
+
+
 def _first_block(raw: str, tag: str) -> str | None:
     """Innermost content of the first well-formed <tag>...</tag> pair."""
-    close = re.search(rf"</{tag}>", raw, re.IGNORECASE)
+    open_re, close_re = _BLOCK_RES[tag]
+    close = close_re.search(raw)
     if close is None:
         return None
-    opens = [m.end() for m in re.finditer(rf"<{tag}>", raw[: close.start()], re.IGNORECASE)]
+    opens = [m.end() for m in open_re.finditer(raw, 0, close.start())]
     if not opens:
         return None
     return raw[opens[-1] : close.start()]

@@ -3,10 +3,11 @@ from __future__ import annotations
 import csv
 import itertools
 import random
+from functools import lru_cache
 from pathlib import Path
 
-from ms2smiles.chem import mol_from_smiles
-from ms2smiles.similarity import morgan_fingerprint, tanimoto
+from ms2smiles.chem import ChemError, mol_from_smiles
+from ms2smiles.similarity import fingerprints, morgan_fingerprint, tanimoto
 from ms2smiles.similarity.fingerprints import _build_fingerprint
 
 BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
@@ -75,3 +76,34 @@ def test_reference_pairs_keep_their_tanimoto_values():
     for row in rows:
         fa, fb = morgan_fingerprint(mols[row["ground_truth"]]), morgan_fingerprint(mols[row["candidate"]])
         assert repr(tanimoto(fa, fb)) == row["tanimoto"], row
+
+
+def test_environment_memo_changes_no_fingerprint(corpus, monkeypatch):
+    mols = []
+    for smiles in corpus:
+        try:
+            mols.append(mol_from_smiles(smiles))
+        except ChemError:
+            pass
+    memo = fingerprints._environment_hash
+
+    def built(order, memo):
+        fps = {}
+        for i in order:
+            fps[i] = _build_fingerprint(mols[i])
+            info = memo.cache_info()
+            assert info.currsize <= info.maxsize
+        return [fps[i] for i in range(len(mols))]
+
+    forward, backward = range(len(mols)), range(len(mols) - 1, -1, -1)
+    memo.cache_clear()
+    cold = built(forward, memo)
+    assert memo.cache_info().hits > memo.cache_info().misses  # environments recur
+    assert built(forward, memo) == cold  # warm
+    memo.cache_clear()
+    assert built(backward, memo) == cold
+    # Every entry evicted many times over, and no memo at all, agree too.
+    for size in (64, 0):
+        small = lru_cache(maxsize=size)(memo.__wrapped__)
+        monkeypatch.setattr(fingerprints, "_environment_hash", small)
+        assert built(forward, small) == cold

@@ -215,26 +215,108 @@ def test_unperceived_written_aromatic_bonds_keep_one_pattern(lowercase, dashed, 
     assert mces(a, b).dissimilarity == 0.0
 
 
-def test_one_rank_refinement_per_aromatic_molecule(corpus, monkeypatch):
-    refine = perception_module.refine_ranks
-    calls = []
+def _needy_subgraph_is_forest(mol) -> bool:
+    """Do the atoms holding an aromatic double bond, and the aromatic bonds
+    between them, form a forest (edges = atoms - components)?"""
+    aromatic = [mol.bonds[bi] for bi in mol.aromatic_bonds]
+    needy = {i for b in aromatic if b.order == BondOrder.DOUBLE for i in (b.a, b.b)}
+    edges = [(b.a, b.b) for b in aromatic if b.a in needy and b.b in needy]
+    neighbours = {i: [] for i in needy}
+    for a, b in edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    seen: set[int] = set()
+    components = 0
+    for start in needy:
+        if start in seen:
+            continue
+        components += 1
+        seen.add(start)
+        stack = [start]
+        while stack:
+            for j in neighbours[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+    return len(edges) == len(needy) - components
+
+
+def _count_refinements(monkeypatch):
+    """Patch ``refine_ranks`` to log, per call, whether step 6 made it."""
+    refine, rekekulize = perception_module.refine_ranks, perception_module._canonical_rekekulize
+    calls, inside = [], []
 
     def counted(seeds, adjacency):
-        calls.append(len(seeds))
+        calls.append(bool(inside))
         return refine(seeds, adjacency)
 
+    def step_six(*args):
+        inside.append(True)
+        try:
+            rekekulize(*args)
+        finally:
+            inside.pop()
+
     monkeypatch.setattr(perception_module, "refine_ranks", counted)
-    written_aromatic = without_ring = 0
+    monkeypatch.setattr(perception_module, "_canonical_rekekulize", step_six)
+    return calls
+
+
+def test_step_six_ranks_atoms_only_when_its_needy_subgraph_has_a_cycle(corpus, monkeypatch):
+    calls = _count_refinements(monkeypatch)
+    written_aromatic = without_ring = forced = 0
     for smiles in corpus:
         calls.clear()
         try:
             mol = mol_from_smiles(smiles)
         except ChemError:
             continue
-        assert len(calls) == (1 if mol.aromatic_bonds else 0), smiles
+        tied = bool(mol.aromatic_bonds) and not _needy_subgraph_is_forest(mol)
+        assert len(calls) == (1 if tied else 0), smiles
         written_aromatic += any(atom.aromatic for atom in parse_smiles(smiles).atoms)
         without_ring += not mol.aromatic_bonds
-    assert written_aromatic > 300 and without_ring > 300
+        forced += bool(mol.aromatic_bonds) and not tied
+    assert written_aromatic > 300 and without_ring > 300 and forced > 50
+
+
+@pytest.mark.parametrize(
+    "smiles, step_six, total",
+    [
+        ("c1ccccc1", 1, 1),  # benzene
+        ("c1ccc2ccccc2c1", 1, 1),  # naphthalene
+        ("c1ccc2c3ccccc3c2c1", 1, 2),  # biphenylene in lowercase: step 3 is placed again by rank
+        ("NC(Cc1ccc(O)cc1)C(=O)O", 1, 1),  # tyrosine
+        ("c1cc[nH]c1", 0, 0),  # pyrrole
+        ("c1ccoc1", 0, 0),  # furan
+        ("c1ccsc1", 0, 0),  # thiophene
+        ("c1cnc[nH]1", 0, 0),  # imidazole
+        ("NC(Cc1cnc[nH]1)C(=O)O", 0, 0),  # histidine
+    ],
+)
+def test_rank_refinements_per_molecule(smiles, step_six, total, monkeypatch):
+    calls = _count_refinements(monkeypatch)
+    mol_from_smiles(smiles)
+    assert (calls.count(True), len(calls)) == (step_six, total)
+
+
+def test_forced_matchings_place_alike_by_rank_and_by_index(corpus, monkeypatch):
+    smiles = _corpus_and_bench_smiles(corpus)
+    calls = _count_refinements(monkeypatch)
+    forced = []
+    for text in smiles:
+        calls.clear()
+        try:
+            mol = mol_from_smiles(text)
+        except ChemError:
+            continue
+        if mol.aromatic_bonds and not calls:
+            forced.append((text, [b.order for b in mol.bonds]))
+    assert len(forced) > 50
+    monkeypatch.setattr(perception_module, "_is_forest", lambda bonds, arom_bonds, needy: False)
+    for text, by_index in forced:
+        calls.clear()
+        assert [b.order for b in mol_from_smiles(text).bonds] == by_index, text
+        assert calls == [True], text
 
 
 def test_kekule_search_stops_at_its_step_limit():
